@@ -1,7 +1,7 @@
 """Command-line entry point: validate, run, sweep and plot.
 
 Exit codes: 0 success, 1 domain error (validation or run failure),
-2 usage/IO error.  ``DTNSIM_THREADS`` caps sweep parallelism (default:
+2 usage/IO error.  ``DTNSIM_THREADS`` caps sweep parallelism (unset or 0:
 number of processors); runs are independent, so parallel execution cannot
 change results, and outputs are written in sorted order regardless.
 """
@@ -40,6 +40,17 @@ def _print_summary(s: reports.MetricsSummary) -> None:
     print(f"dropped              = {s.dropped_total}")
 
 
+def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
+    """Scenario invariants plus, for a map file, whether it parses."""
+    findings = scenario.validate(cfg)
+    if not cfg.map_source.synthetic:
+        try:
+            engine.load_map_file(cfg.map_source.source)
+        except engine.SimulationError as exc:
+            findings.append(f"map: {exc}")
+    return findings
+
+
 def cmd_validate(args) -> int:
     if not os.path.exists(args.config):
         print(f"error: no such file: {args.config}", file=sys.stderr)
@@ -49,7 +60,7 @@ def cmd_validate(args) -> int:
     except scenario.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    findings = scenario.validate(cfg)
+    findings = _findings(cfg)
     for finding in findings:
         print(finding, file=sys.stderr)
     return EXIT_OK if not findings else EXIT_DOMAIN
@@ -91,12 +102,13 @@ def _sweep_worker(packed) -> tuple[str, int, int, reports.MetricsSummary]:
 def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
                seeds: list[int], workers: int | None = None,
                ) -> list[tuple[str, int, int, reports.MetricsSummary]]:
-    """Cross-product execution, optionally in parallel; sorted results."""
+    """Cross-product execution, optionally in parallel; sorted results.
+
+    ``workers`` of None or 0 means one per processor.
+    """
     jobs = [(config_text, p, b, s)
             for p in protocols for b in buffers for s in seeds]
-    if workers is None:
-        workers = int(os.environ.get("DTNSIM_THREADS", 0)) or os.cpu_count() or 1
-    workers = max(1, min(workers, len(jobs)))
+    workers = max(1, min(workers or os.cpu_count() or 1, len(jobs)))
     if workers == 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
@@ -129,6 +141,12 @@ def cmd_sweep(args) -> int:
     except (ValueError, scenario.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    threads = os.environ.get("DTNSIM_THREADS") or "0"
+    if not threads.isdecimal():
+        print(f"error: DTNSIM_THREADS must be a non-negative integer, "
+              f"got {threads!r}", file=sys.stderr)
+        return EXIT_USAGE
+    workers = int(threads)
     if not buffers or not protocols or not seeds:
         print("error: empty sweep axis", file=sys.stderr)
         return EXIT_USAGE
@@ -136,7 +154,7 @@ def cmd_sweep(args) -> int:
         config_text = fh.read()
     try:
         cfg = scenario.parse_scenario(config_text)
-        findings = scenario.validate(cfg)
+        findings = _findings(cfg)
         if findings:
             for finding in findings:
                 print(finding, file=sys.stderr)
@@ -145,7 +163,7 @@ def cmd_sweep(args) -> int:
             if p not in scenario.PROTOCOLS:
                 print(f"error: unknown protocol {p!r}", file=sys.stderr)
                 return EXIT_USAGE
-        results = sweep_runs(config_text, protocols, buffers, seeds)
+        results = sweep_runs(config_text, protocols, buffers, seeds, workers)
     except (scenario.ScenarioError, engine.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from . import mobility, routing, traffic
@@ -33,7 +32,7 @@ from .netcore import (REASON_OVERFLOW, REASON_OVERSIZE, REASON_TTL,
                       TransferPool)
 from .reports import MetricsSummary, compute_metrics
 from .scenario import ScenarioConfig, validate
-from .worldmap import MapGraph, generate_stadium_map, parse_map
+from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
 
 CREATED = "CREATED"
 RELAYED = "RELAYED"
@@ -77,30 +76,15 @@ class NodeState:
         self.rng = rng
 
 
-@dataclass
-class SimScript:
-    """Test hook: scripted contacts and creations replace detection/traffic.
-
-    contacts: (a, b, interface, up_from, down_at) with activity at every
-    tick t where up_from <= t < down_at.  creations: (time, src, dst, size).
-    """
-
-    contacts: list[tuple[int, int, str, float, float]] = field(default_factory=list)
-    creations: list[tuple[float, int, int, int]] = field(default_factory=list)
-
-
 class Simulation:
     """One run: all state, the tick loop, and end-of-run audits."""
 
-    def __init__(self, cfg: ScenarioConfig, seed: int,
-                 script: SimScript | None = None, debug_every: int = 0):
+    def __init__(self, cfg: ScenarioConfig, seed: int):
         findings = validate(cfg)
         if findings:
             raise SimulationError("invalid scenario: " + "; ".join(findings))
         self.cfg = cfg
         self.seed = seed
-        self.script = script
-        self.debug_every = debug_every
         self.spray = cfg.router.protocol == routing.SPRAY_AND_WAIT
 
         self.graph = self._load_map()
@@ -140,9 +124,6 @@ class Simulation:
         self.traffic_rng = rng_stream(seed, "traffic")
         self.traffic_state = traffic.TrafficState(
             traffic.schedule_next(0.0, cfg.traffic.interval_range, self.traffic_rng))
-        if script is not None:
-            script.creations = sorted(script.creations)
-        self._script_cursor = 0
 
         # conservation audit: per message [born, dropped, consumed, relay_dups]
         self.ledger: dict[str, list[int]] = {}
@@ -159,11 +140,7 @@ class Simulation:
         if ms.synthetic:
             return generate_stadium_map(ms.ring_radius, ms.exit_count,
                                         ms.road_length, rng_stream(self.seed, "map"))
-        try:
-            with open(ms.source, "r", encoding="utf-8") as fh:
-                return parse_map(fh.read())
-        except OSError as exc:
-            raise SimulationError(f"cannot read map file {ms.source}: {exc}") from exc
+        return load_map_file(ms.source)
 
     # --- clock --------------------------------------------------------------
 
@@ -197,8 +174,6 @@ class Simulation:
         for key in ups:
             self._contact_offers(key, now)
         self._run_transfers(now, dt)
-        if self.debug_every and self.tick_index % self.debug_every == 0:
-            self._debug_checks()
         self.tick_index += 1
 
     # --- phase 1: expiry -----------------------------------------------------
@@ -223,19 +198,6 @@ class Simulation:
     # --- phase 2: traffic ------------------------------------------------------
 
     def _create_due(self, now: float) -> None:
-        if self.script is not None:
-            creations = self.script.creations
-            while (self._script_cursor < len(creations)
-                   and creations[self._script_cursor][0] <= now):
-                _, src, dst, size = creations[self._script_cursor]
-                self._script_cursor += 1
-                state = self.traffic_state
-                state.counter += 1
-                state.created_count += 1
-                msg = Message(f"M{state.counter}", state.counter, src, dst,
-                              size, now, self.cfg.traffic.ttl)
-                self._admit_created(msg, now)
-            return
         state = self.traffic_state
         while state.next_creation_at <= now:
             msg = traffic.create_message(state, self.traffic_rng, self.sources,
@@ -256,7 +218,7 @@ class Simulation:
             self.log(now, DROPPED, msg.id, msg.src, NO_NODE, 0, REASON_OVERSIZE)
             return
         copies = self.cfg.router.copy_budget if self.spray else None
-        copy = BufferedCopy(msg, now, 0, copies)
+        copy = BufferedCopy(msg, 0, copies)
         accepted, evicted = node.buffer.insert(copy)
         if not accepted:
             counters[1] += 1
@@ -288,16 +250,7 @@ class Simulation:
     # --- phase 4: contacts -------------------------------------------------------
 
     def _detect_contacts(self, now: float) -> list[tuple[int, int, str]]:
-        if self.script is not None:
-            current = set()
-            for a, b, iface, up_from, down_at in self.script.contacts:
-                if up_from <= now < down_at:
-                    key = (a, b, iface) if a < b else (b, a, iface)
-                    current.add(key)
-            ups = sorted(k for k in current if k not in self.active)
-            downs = sorted(k for k in self.active if k not in current)
-        else:
-            ups, downs = self.detector.detect(self.positions, self.active)
+        ups, downs = self.detector.detect(self.positions, self.active)
         for key in downs:
             del self.active[key]
             a, b, iface = key
@@ -405,7 +358,7 @@ class Simulation:
                 heappop(q)
                 if skey not in budgets:
                     budgets[skey] = self.bandwidth[iface] * dt
-                pool.begin(sender_id, receiver_id, iface, copy.msg, now, ckey)
+                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
                 buffer.pinned.add(msg_id)
                 started += 1
                 break
@@ -465,22 +418,23 @@ class Simulation:
                     f"throughput violated at node {nid} iface {iface}: "
                     f"{sent} bytes > {limit}")
 
-    def _debug_checks(self) -> None:
-        for node in self.nodes:
-            occ = sum(c.msg.size for c in node.buffer.copies.values())
-            assert occ == node.buffer.occupancy <= node.buffer.capacity, (
-                f"buffer accounting broken at node {node.id}")
-        for msg_id, held in self.holders.items():
-            for nid in held:
-                assert msg_id in self.nodes[nid].buffer, (
-                    f"holders index stale for {msg_id} at {nid}")
+
+def load_map_file(path: str) -> MapGraph:
+    """Parse a LINESTRING map file; unreadable or invalid maps raise
+    SimulationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_map(fh.read())
+    except OSError as exc:
+        raise SimulationError(f"cannot read map file {path}: {exc}") from exc
+    except (MapError, UnicodeDecodeError) as exc:
+        raise SimulationError(f"bad map file {path}: {exc}") from exc
 
 
-def run(cfg: ScenarioConfig, seed: int, script: SimScript | None = None,
-        debug_every: int = 0) -> tuple[list[Event], MetricsSummary]:
+def run(cfg: ScenarioConfig, seed: int) -> tuple[list[Event], MetricsSummary]:
     """Validate, simulate and reduce one scenario run.
 
     Bit-identical (EventLog, MetricsSummary) for identical (cfg, seed).
     """
-    sim = Simulation(cfg, seed, script=script, debug_every=debug_every)
+    sim = Simulation(cfg, seed)
     return sim.run()

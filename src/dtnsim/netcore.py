@@ -40,12 +40,10 @@ class Message:
 class BufferedCopy:
     """One node's copy of a message: hop count and replication budget."""
 
-    __slots__ = ("msg", "received_at", "hops", "copies")
+    __slots__ = ("msg", "hops", "copies")
 
-    def __init__(self, msg: Message, received_at: float, hops: int,
-                 copies: int | None = None):
+    def __init__(self, msg: Message, hops: int, copies: int | None = None):
         self.msg = msg
-        self.received_at = received_at
         self.hops = hops
         self.copies = copies    # spray-and-wait budget; None under epidemic
 
@@ -153,22 +151,17 @@ class ContactDetector:
 
 # --- transfers ---------------------------------------------------------------
 
-REFUSE_BUSY = "busy"
-REFUSE_DUPLICATE = "duplicate"
-
-
 class Transfer:
     __slots__ = ("sender", "receiver", "iface", "msg", "bytes_sent",
-                 "started_at", "contact_key", "doomed")
+                 "contact_key", "doomed")
 
     def __init__(self, sender: int, receiver: int, iface: str, msg: Message,
-                 started_at: float, contact_key: tuple[int, int, str]):
+                 contact_key: tuple[int, int, str]):
         self.sender = sender
         self.receiver = receiver
         self.iface = iface
         self.msg = msg
         self.bytes_sent = 0.0
-        self.started_at = started_at
         self.contact_key = contact_key
         self.doomed: str | None = None    # abort reason once marked
 
@@ -181,16 +174,13 @@ class TransferPool:
         self.inflight_from: set[tuple[int, str]] = set()  # (sender, msg id)
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
-    def sender_busy(self, sender: int, iface: str) -> bool:
-        return (sender, iface) in self.outgoing
-
     def begin(self, sender: int, receiver: int, iface: str, msg: Message,
-              now: float, contact_key: tuple[int, int, str]) -> Transfer:
+              contact_key: tuple[int, int, str]) -> Transfer:
         """Caller must have verified the slot is idle and the receiver lacks
         the message; one in-flight transfer per (sender, message) at a time."""
         key = (sender, iface)
         assert key not in self.outgoing, "busy interface"
-        tr = Transfer(sender, receiver, iface, msg, now, contact_key)
+        tr = Transfer(sender, receiver, iface, msg, contact_key)
         self.outgoing[key] = tr
         self.inflight_from.add((sender, msg.id))
         return tr

@@ -49,13 +49,6 @@ class MetricsSummary:
     relay_duplicates: int = 0
     still_buffered: int = 0
 
-    def metric(self, name: str) -> float:
-        if name == "dropped":
-            return float(self.dropped_total)
-        if name not in CHART_METRICS:
-            raise ValueError(f"unknown metric {name!r}")
-        return float(getattr(self, name))
-
 
 def compute_metrics(log) -> MetricsSummary:
     """Single pass over an event log; see module docstring for conventions."""

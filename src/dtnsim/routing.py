@@ -116,7 +116,7 @@ def on_transfer_complete(router: RouterConfig, sender, receiver, msg: Message,
         sender_copy.copies = kept
         copies = given
     accepted, evicted = receiver.buffer.insert(
-        BufferedCopy(msg, now, hops, copies))
+        BufferedCopy(msg, hops, copies))
     return Outcome("relayed", hops, accepted, tuple(evicted), False)
 
 

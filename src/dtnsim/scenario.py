@@ -81,7 +81,6 @@ class MapSpec:
 class ScenarioConfig:
     sim_duration: float = 43_200.0
     tick: float = 1.0
-    world_size: tuple[float, float] = (1000.0, 1000.0)
     groups: tuple[GroupConfig, ...] = ()
     interfaces: dict[str, InterfaceConfig] = field(default_factory=dict)
     traffic: TrafficConfig = TrafficConfig()
@@ -195,7 +194,7 @@ def _parse_list(text: str) -> tuple[str, ...]:
 # --- scenario file parsing -----------------------------------------------
 
 _TOP_KEYS = {
-    "sim_duration", "tick", "world_size", "buffer_size", "seed",
+    "sim_duration", "tick", "buffer_size", "seed",
     "ttl", "interval_range", "size_range", "map",
 }
 _ROUTER_KEYS = {"protocol", "copies", "binary"}
@@ -290,7 +289,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         sim_duration=top.get("sim_duration", cfg.sim_duration),
         tick=top.get("tick", cfg.tick),
-        world_size=top.get("world_size", cfg.world_size),
         groups=group_tuple,
         interfaces=interfaces,
         traffic=TrafficConfig(**traffic),
@@ -306,8 +304,6 @@ def _apply_top_key(top: dict, mapspec: dict, traffic: dict, key: str, value: str
         top["sim_duration"] = parse_duration(value)
     elif key == "tick":
         top["tick"] = parse_duration(value)
-    elif key == "world_size":
-        top["world_size"] = _parse_pair(value, float)
     elif key == "buffer_size":
         top["buffer_bytes"] = parse_size(value)
     elif key == "seed":
@@ -383,7 +379,6 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     lines = [
         f"sim_duration = {_fmt_num(cfg.sim_duration)}",
         f"tick = {_fmt_num(cfg.tick)}",
-        f"world_size = {_fmt_num(cfg.world_size[0])},{_fmt_num(cfg.world_size[1])}",
         f"buffer_size = {cfg.buffer_bytes}",
         f"seed = {cfg.seed}",
         f"ttl = {_fmt_num(cfg.traffic.ttl)}",
@@ -430,8 +425,6 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         findings.append("tick: must be > 0")
     elif cfg.tick > cfg.sim_duration > 0:
         findings.append("tick: must not exceed sim_duration")
-    if cfg.world_size[0] <= 0 or cfg.world_size[1] <= 0:
-        findings.append("world_size: dimensions must be > 0")
 
     if cfg.buffer_bytes < cfg.traffic.size_range[1]:
         findings.append(

@@ -1,17 +1,15 @@
-"""Distress-message generation and TTL expiry.
+"""Distress-message generation.
 
 One network-wide creation process: each message is scheduled a uniform
 draw after the previous one, with a uniform source among source-group
-nodes and a uniform destination among destination-group nodes.  TTL
-comparison is strict: a copy expires once now - created_at > ttl, so
-boundary-age copies survive the boundary tick.
+nodes and a uniform destination among destination-group nodes.
 """
 
 from __future__ import annotations
 
 import random
 
-from .netcore import Message, REASON_TTL
+from .netcore import Message
 from .scenario import TrafficConfig
 
 
@@ -44,21 +42,3 @@ def create_message(state: TrafficState, rng: random.Random, sources: list[int],
     size = rng.randint(traffic.size_range[0], traffic.size_range[1])
     return Message(f"M{state.counter}", state.counter, src, dst, size,
                    now, traffic.ttl)
-
-
-def purge_expired(nodes, now: float) -> list[tuple[int, object]]:
-    """Remove every expired buffered copy; returns (node id, copy) pairs.
-
-    Reference implementation scanning all buffers; the engine uses an
-    expiry-ordered index with identical semantics.
-    """
-    dropped = []
-    for node in nodes:
-        expired = [c for c in node.buffer.copies.values() if c.msg.expired(now)]
-        for copy in expired:
-            node.buffer.remove(copy.msg.id)
-            dropped.append((node.id, copy))
-    return dropped
-
-
-DROP_REASON = REASON_TTL

@@ -14,11 +14,11 @@ from statistics import median
 import pytest
 
 from dtnsim import cli, engine, scenario, traffic
-from dtnsim.engine import SimScript, Simulation
+from dtnsim.engine import Simulation
 from dtnsim.routing import epidemic_oracle
 from dtnsim.worldmap import shortest_path
 
-from conftest import DESK_TEXT, script_config
+from conftest import DESK_TEXT, check_state, run_script, script_config
 from test_worldmap import brute_force_min_path, random_connected_graph
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -79,11 +79,9 @@ def test_criterion_1_oracle_equivalence():
     for contacts, msgs, n in cases:
         ttl = 10_800.0
         cfg = script_config(nodes=n, duration=130.0, ttl=ttl)
-        script = SimScript(
-            contacts=[(a, b, "instant", s, e) for a, b, s, e in contacts],
-            creations=[(t, src, dst, 100_000)
-                       for t, src, dst in sorted(msgs)])
-        events, _ = engine.run(cfg, 1, script=script)
+        events, _ = run_script(
+            cfg, contacts=[(a, b, "instant", s, e) for a, b, s, e in contacts],
+            creations=[(t, src, dst, 100_000) for t, src, dst in msgs])
         sim_deliveries = {}
         for t, kind, mid, a, b, hops, reason in events:
             if kind == "DELIVERED":
@@ -166,7 +164,11 @@ def desk_results():
             for seed in SEEDS:
                 cfg = scenario.parse_scenario(
                     DESK_TEXT.format(protocol=protocol, buffer=buffer))
-                sim = Simulation(cfg, seed, debug_every=199)
+                sim = Simulation(cfg, seed)
+                while sim.clock < cfg.sim_duration:
+                    sim.tick()
+                    if (sim.tick_index - 1) % 199 == 0:
+                        check_state(sim)
                 events, summary = sim.run()
                 _conservation_checks(sim, events, summary, protocol)
                 per_seed.append(summary)

@@ -5,9 +5,9 @@ import math
 import pytest
 
 from dtnsim import engine, scenario
-from dtnsim.engine import SimScript, Simulation, SimulationError, rng_stream
+from dtnsim.engine import Simulation, SimulationError, rng_stream
 
-from conftest import desk_config, script_config
+from conftest import desk_config, run_script, script_config
 
 
 def event_lines(events):
@@ -116,9 +116,8 @@ def test_invalid_config_rejected():
 
 def test_creation_same_tick_as_contact_is_eligible_immediately():
     cfg = script_config(nodes=2, duration=5.0)
-    script = SimScript(contacts=[(0, 1, "instant", 0.0, 5.0)],
-                       creations=[(0.0, 0, 1, 100_000)])
-    events, summary = engine.run(cfg, 1, script=script)
+    events, summary = run_script(cfg, contacts=[(0, 1, "instant", 0.0, 5.0)],
+                                 creations=[(0.0, 0, 1, 100_000)])
     assert summary.delivered == 1
     delivered = [e for e in events if e[1] == "DELIVERED"]
     assert delivered[0][0] == 0.0
@@ -126,9 +125,8 @@ def test_creation_same_tick_as_contact_is_eligible_immediately():
 
 def test_message_created_mid_contact_still_flows():
     cfg = script_config(nodes=2, duration=10.0)
-    script = SimScript(contacts=[(0, 1, "instant", 0.0, 10.0)],
-                       creations=[(4.0, 0, 1, 100_000)])
-    events, _ = engine.run(cfg, 1, script=script)
+    events, _ = run_script(cfg, contacts=[(0, 1, "instant", 0.0, 10.0)],
+                           creations=[(4.0, 0, 1, 100_000)])
     delivered = [e for e in events if e[1] == "DELIVERED"]
     assert delivered[0][0] == 4.0
 
@@ -152,9 +150,8 @@ interface.slow.range = 1
 """
     cfg = scenario.parse_scenario(text)
     # 300 kB at 250 kB/s needs 1.2 s but the contact lasts one tick
-    script = SimScript(contacts=[(0, 1, "slow", 0.0, 1.0)],
-                       creations=[(0.0, 0, 1, 300_000)])
-    events, summary = engine.run(cfg, 1, script=script)
+    events, summary = run_script(cfg, contacts=[(0, 1, "slow", 0.0, 1.0)],
+                                 creations=[(0.0, 0, 1, 300_000)])
     aborted = [e for e in events if e[1] == "ABORTED"]
     assert len(aborted) == 1
     assert aborted[0][0] == 1.0                  # the tick the contact dropped
@@ -181,9 +178,8 @@ interface.slow.bandwidth = 250k
 interface.slow.range = 1
 """
     cfg = scenario.parse_scenario(text)
-    script = SimScript(contacts=[(0, 1, "slow", 0.0, 10.0)],
-                       creations=[(0.0, 0, 1, 300_000)])
-    events, summary = engine.run(cfg, 1, script=script)
+    events, summary = run_script(cfg, contacts=[(0, 1, "slow", 0.0, 10.0)],
+                                 creations=[(0.0, 0, 1, 300_000)])
     assert summary.delivered == 1
     delivered = [e for e in events if e[1] == "DELIVERED"]
     assert delivered[0][0] == 1.0                # 1.2 s of air time, 2 ticks
@@ -208,9 +204,8 @@ interface.crawl.bandwidth = 10k
 interface.crawl.range = 1
 """
     cfg = scenario.parse_scenario(text)
-    script = SimScript(contacts=[(0, 1, "crawl", 0.0, 10.0)],
-                       creations=[(0.0, 0, 1, 100_000)])
-    events, summary = engine.run(cfg, 1, script=script)
+    events, summary = run_script(cfg, contacts=[(0, 1, "crawl", 0.0, 10.0)],
+                                 creations=[(0.0, 0, 1, 100_000)])
     aborted = [e for e in events if e[1] == "ABORTED"]
     assert len(aborted) == 1
     assert aborted[0][6] == "ttl-expiry"

@@ -11,8 +11,8 @@ def msg(mid, size, created=0.0, ttl=10_800.0, src=0, dst=1, seq=None):
                    size, created, ttl)
 
 
-def copy(mid, size, received=0.0, hops=0, copies=None):
-    return BufferedCopy(msg(mid, size), received, hops, copies)
+def copy(mid, size, hops=0, copies=None):
+    return BufferedCopy(msg(mid, size), hops, copies)
 
 
 # --- messages -----------------------------------------------------------------
@@ -34,9 +34,9 @@ def test_empty_buffer_accepts_without_evictions():
 
 def test_eviction_is_fifo_oldest_received_first():
     b = Buffer(1_000_000)
-    for i, received in enumerate([5.0, 1.0, 9.0], start=1):
-        b.insert(BufferedCopy(msg(f"M{i}", 300_000), received, 0))
-    # 900k used; incoming 300k forces out the first-received (M1, inserted first)
+    for i in range(1, 4):
+        b.insert(copy(f"M{i}", 300_000))
+    # 900k used; incoming 300k forces out the first-received (M1)
     accepted, evicted = b.insert(copy("M4", 300_000))
     assert accepted
     assert [c.msg.id for c in evicted] == ["M1"]
@@ -154,7 +154,7 @@ def test_mixed_ranges_only_pair_like_interfaces():
 def test_transfer_completes_within_budget():
     pool = TransferPool()
     key = (0, 1, "highspeed")
-    pool.begin(0, 1, "highspeed", msg("M1", 300_000), 0.0, key)
+    pool.begin(0, 1, "highspeed", msg("M1", 300_000), key)
     completed, aborted = pool.advance({(0, "highspeed"): 20_000_000.0})
     assert [t.msg.id for t in completed] == ["M1"]
     assert aborted == []
@@ -164,7 +164,7 @@ def test_transfer_completes_within_budget():
 def test_transfer_progresses_across_ticks():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 300_000), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
     completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
     assert completed == []
     assert pool.outgoing[(0, "bluetooth")].bytes_sent == 250_000.0
@@ -175,7 +175,7 @@ def test_transfer_progresses_across_ticks():
 def test_exact_boundary_completes():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 250_000), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 250_000), key)
     completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
     assert len(completed) == 1
 
@@ -183,7 +183,7 @@ def test_exact_boundary_completes():
 def test_contact_break_aborts_without_partial_delivery():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
-    tr = pool.begin(0, 1, "bluetooth", msg("M1", 300_000), 0.0, key)
+    tr = pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
     pool.advance({(0, "bluetooth"): 125_000.0})
     pool.doom_contact(key, "contact-down")
     completed, aborted = pool.advance({(0, "bluetooth"): 250_000.0})
@@ -197,11 +197,11 @@ def test_leftover_budget_chains_to_next_transfer():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
     budgets = {(0, "bluetooth"): 250_000.0}
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
     completed, _ = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 150_000.0
-    pool.begin(0, 1, "bluetooth", msg("M2", 150_000, seq=2), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M2", 150_000, seq=2), key)
     completed, _ = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 0.0
@@ -210,18 +210,18 @@ def test_leftover_budget_chains_to_next_transfer():
 def test_one_outgoing_slot_per_interface():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), 0.0, key)
-    assert pool.sender_busy(0, "bluetooth")
-    assert not pool.sender_busy(0, "wifi")
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    assert (0, "bluetooth") in pool.outgoing
+    assert (0, "wifi") not in pool.outgoing
     with pytest.raises(AssertionError):
-        pool.begin(0, 2, "bluetooth", msg("M2", 100_000, seq=2), 0.0, key)
+        pool.begin(0, 2, "bluetooth", msg("M2", 100_000, seq=2), key)
 
 
 def test_completed_bytes_accounting():
     pool = TransferPool()
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
     pool.advance({(0, "bluetooth"): 250_000.0})
-    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), 0.0, key)
+    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key)
     pool.advance({(0, "bluetooth"): 250_000.0})
     assert pool.completed_bytes[(0, "bluetooth")] == 300_000.0

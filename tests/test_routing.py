@@ -17,8 +17,8 @@ class Node:
         self.buffer = Buffer(capacity)
         self.delivered = set()
 
-    def hold(self, msg, hops=0, copies=None, received=0.0):
-        self.buffer.insert(BufferedCopy(msg, received, hops, copies))
+    def hold(self, msg, hops=0, copies=None):
+        self.buffer.insert(BufferedCopy(msg, hops, copies))
 
 
 def mk(seq, src=0, dst=9, size=100_000, created=0.0, ttl=10_800.0):

@@ -55,6 +55,9 @@ def test_interval_range_min_above_max_is_an_error():
 def test_unknown_key_reports_line_number():
     with pytest.raises(ScenarioError, match="line 2"):
         parse_scenario("seed = 3\nbogus_key = 1")
+    # parsed once but never simulated, so no longer a key
+    with pytest.raises(ScenarioError, match="unknown key 'world_size'"):
+        parse_scenario("world_size = 1000,1000")
 
 
 def test_syntax_and_type_errors():

@@ -2,8 +2,9 @@ import random
 
 from dtnsim import traffic
 from dtnsim.engine import rng_stream
-from dtnsim.netcore import Buffer, BufferedCopy, Message
 from dtnsim.scenario import TrafficConfig
+
+from conftest import ScriptedSimulation, script_config
 
 CFG = TrafficConfig(interval_range=(30.0, 60.0), size_range=(100_000, 300_000),
                     ttl=10_800.0)
@@ -55,31 +56,33 @@ def test_size_mean_near_center():
     assert abs(mean - 200_000) <= 0.05 * 200_000
 
 
-class _Node:
-    def __init__(self, nid):
-        self.id = nid
-        self.buffer = Buffer(10_000_000)
-
-
-def _hold(node, seq, created):
-    msg = Message(f"M{seq}", seq, 0, 1, 100_000, created, 10_800.0)
-    node.buffer.insert(BufferedCopy(msg, created, 0))
+def _drops(sim):
+    return [e for e in sim.events if e[1] == "DROPPED"]
 
 
 def test_purge_strict_boundary():
-    node = _Node(0)
-    _hold(node, 1, created=0.0)
-    assert traffic.purge_expired([node], now=10_800.0) == []
-    assert "M1" in node.buffer
-    dropped = traffic.purge_expired([node], now=10_801.0)
-    assert [(nid, c.msg.id) for nid, c in dropped] == [(0, "M1")]
-    assert "M1" not in node.buffer
+    sim = ScriptedSimulation(script_config(nodes=2, duration=20.0, ttl=5.0), 1,
+                             creations=[(0.0, 0, 1, 100_000)])
+    while sim.clock <= 5.0:             # age == ttl on the last of these ticks
+        sim.tick()
+    assert "M1" in sim.nodes[0].buffer
+    assert _drops(sim) == []
+    sim.tick()
+    assert "M1" not in sim.nodes[0].buffer
+    assert _drops(sim) == [(6.0, "DROPPED", "M1", 0, -1, 0, "ttl-expiry")]
 
 
 def test_purge_only_expired_copies():
-    node = _Node(0)
-    _hold(node, 1, created=0.0)
-    _hold(node, 2, created=5_000.0)
-    dropped = traffic.purge_expired([node], now=12_000.0)
-    assert [c.msg.id for _, c in dropped] == ["M1"]
-    assert "M2" in node.buffer
+    # M1 is relayed to node 1 at t=0; M2 stays at its source
+    sim = ScriptedSimulation(script_config(nodes=3, duration=20.0, ttl=5.0), 1,
+                             contacts=[(0, 1, "instant", 0.0, 1.0)],
+                             creations=[(0.0, 0, 2, 100_000),
+                                        (3.0, 0, 2, 100_000)])
+    while sim.clock <= 6.0:
+        sim.tick()
+    assert _drops(sim) == [(6.0, "DROPPED", "M1", 0, -1, 0, "ttl-expiry"),
+                           (6.0, "DROPPED", "M1", 1, -1, 1, "ttl-expiry")]
+    assert "M2" in sim.nodes[0].buffer
+    assert "M1" not in sim.nodes[0].buffer and "M1" not in sim.nodes[1].buffer
+    sim.run()
+    assert _drops(sim)[2:] == [(9.0, "DROPPED", "M2", 0, -1, 0, "ttl-expiry")]
