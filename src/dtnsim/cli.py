@@ -21,9 +21,17 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _load_config(path: str) -> scenario.ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario.parse_scenario(fh.read())
+def _read_scenario(path: str) -> str | None:
+    """The scenario file's text, or None once an error line is printed."""
+    if not os.path.exists(path):
+        print(f"error: no such file: {path}", file=sys.stderr)
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _write_events(events, path: str) -> None:
@@ -52,11 +60,11 @@ def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"error: no such file: {args.config}", file=sys.stderr)
+    text = _read_scenario(args.config)
+    if text is None:
         return EXIT_USAGE
     try:
-        cfg = _load_config(args.config)
+        cfg = scenario.parse_scenario(text)
     except scenario.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -67,11 +75,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"error: no such file: {args.config}", file=sys.stderr)
+    text = _read_scenario(args.config)
+    if text is None:
         return EXIT_USAGE
     try:
-        cfg = _load_config(args.config)
+        cfg = scenario.parse_scenario(text)
     except scenario.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -131,8 +139,8 @@ def plot_csv(csv_path: str, out_dir: str) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"error: no such file: {args.config}", file=sys.stderr)
+    config_text = _read_scenario(args.config)
+    if config_text is None:
         return EXIT_USAGE
     try:
         buffers = [scenario.parse_size(b) for b in args.buffers.split(",") if b]
@@ -150,8 +158,6 @@ def cmd_sweep(args) -> int:
     if not buffers or not protocols or not seeds:
         print("error: empty sweep axis", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_text = fh.read()
     try:
         cfg = scenario.parse_scenario(config_text)
         findings = _findings(cfg)

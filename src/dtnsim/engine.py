@@ -109,7 +109,10 @@ class Simulation:
 
         self.detector = ContactDetector(
             [n.interfaces for n in self.nodes],
-            {name: ic.range for name, ic in cfg.interfaces.items()})
+            {name: ic.range for name, ic in cfg.interfaces.items()},
+            # validation holds stationary groups at speed 0,0
+            [n.group.speed_range[1] for n in self.nodes],
+            cfg.tick)
         self.bandwidth = {name: ic.bandwidth for name, ic in cfg.interfaces.items()}
 
         self.tick_index = 0
@@ -370,7 +373,7 @@ class Simulation:
         msg = tr.msg
         sender.buffer.pinned.discard(msg.id)
         outcome = routing.on_transfer_complete(self.cfg.router, sender,
-                                               receiver, msg, now)
+                                               receiver, msg)
         counters = self.ledger[msg.id]
         if outcome.kind == "delivered":
             self.log(now, DELIVERED, msg.id, tr.sender, tr.receiver,

@@ -1,14 +1,25 @@
 """Radio contacts, bandwidth-limited transfers and bounded FIFO buffers.
 
 Contacts are sampled per tick: one contact per (node pair, shared interface
-name) whenever the pair distance is within the interface range.  Each node
-runs at most one outgoing transfer per interface; incoming transfers are
-unlimited.  Buffers evict oldest-received messages first, never the incoming
-message itself, and never a message currently being transmitted by the
-owning node.
+name) whenever the pair distance is within the interface range.  Detection
+is exact but does not scan every pair on every tick.  A node moves at most
+its group's maximum speed times the tick length per tick, so the distance
+of a pair changes by at most the sum of both bounds per tick; a (pair,
+interface) entry at distance d from range r keeps its in/out state for at
+least |d - r| / that sum ticks.  Each entry is parked in a tick calendar
+until then and checked again only when its bucket comes due; an entry of
+two stationary nodes is checked once.
+
+Each node runs at most one outgoing transfer per interface; incoming
+transfers are unlimited.  Buffers evict oldest-received messages first,
+never the incoming message itself, and never a message currently being
+transmitted by the owning node.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from math import ceil, inf, sqrt
 
 REASON_OVERFLOW = "buffer-overflow"
 REASON_TTL = "ttl-expiry"
@@ -106,46 +117,81 @@ class Buffer:
 
 # --- contact detection -------------------------------------------------------
 
+# Absolute slack, in metres, taken off every distance to a range boundary
+# before a wake tick is computed.  Float rounding in positions, in the square
+# root and in r ** 2 is about 1e-12 m at stadium scale, and rounding in a
+# leg's accumulated progress adds about 1e-13 m per tick, under 1e-8 m over
+# a 12 h run of one-second ticks.
+WAKE_MARGIN_M = 1e-6
+
+
 class ContactDetector:
-    """Precomputes which node pairs can ever talk and over which interfaces."""
+    """Exact per-tick contacts that re-examine each (pair, interface) entry
+    only on the first tick at which its range state could have changed.
+
+    ``node_speeds`` are per-node speed bounds (m/s) and ``tick`` the tick
+    length (s); each ``detect`` call is one tick.
+    """
 
     def __init__(self, node_interfaces: list[tuple[str, ...]],
-                 interface_ranges: dict[str, float]):
-        self.pairs: list[tuple[int, int, tuple[tuple[str, float], ...], float]] = []
+                 interface_ranges: dict[str, float],
+                 node_speeds: list[float], tick: float):
+        # entry: (a, b, range, range ** 2, step, (a, b, interface)), where
+        # step bounds how far the pair distance can move in one tick
+        entries = []
         n = len(node_interfaces)
         for i in range(n):
             set_i = set(node_interfaces[i])
             for j in range(i + 1, n):
-                shared = sorted(set_i.intersection(node_interfaces[j]))
-                if not shared:
-                    continue
-                entries = tuple((name, interface_ranges[name] ** 2) for name in shared)
-                max_r2 = max(r2 for _, r2 in entries)
-                self.pairs.append((i, j, entries, max_r2))
+                step = (node_speeds[i] + node_speeds[j]) * tick
+                for name in sorted(set_i.intersection(node_interfaces[j])):
+                    r = interface_ranges[name]
+                    entries.append((i, j, r, r ** 2, step, (i, j, name)))
+        self.tick_index = 0
+        self.calendar: defaultdict[int, list] = defaultdict(list)
+        self.calendar[0] = entries
+        self.pairs: list = []       # entries examined by the latest call
 
     def detect(self, positions: list[tuple[float, float]],
                previous: dict[tuple[int, int, str], float],
                ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int, str]]]:
-        """Compare in-range pairs against the previous contact set.
+        """Compare the due entries against the previous contact set.
 
-        Returns (up, down): keys (a, b, interface) with a < b that newly
-        appeared or vanished this tick.  ``previous`` is not modified.
+        Returns (up, down): sorted keys (a, b, interface) with a < b that
+        newly appeared or vanished this tick.  ``previous`` must be the
+        contact set this detector's earlier calls produced; it is not
+        modified.
         """
-        current: set[tuple[int, int, str]] = set()
-        add = current.add
-        for i, j, entries, max_r2 in self.pairs:
+        tick = self.tick_index
+        self.tick_index = tick + 1
+        calendar = self.calendar
+        due = self.pairs = calendar.pop(tick, [])
+        up = []
+        down = []
+        for entry in due:
+            i, j, r, r2, step, key = entry
             xi, yi = positions[i]
             xj, yj = positions[j]
             dx = xi - xj
             dy = yi - yj
             d2 = dx * dx + dy * dy
-            if d2 > max_r2:
-                continue
-            for name, r2 in entries:
-                if d2 <= r2:
-                    add((i, j, name))
-        up = sorted(k for k in current if k not in previous)
-        down = sorted(k for k in previous if k not in current)
+            if d2 <= r2:
+                if key not in previous:
+                    up.append(key)
+            elif key in previous:
+                down.append(key)
+            if not step:
+                continue    # two stationary nodes: the state is final
+            # the distance moves by at most `step` per tick, so it cannot
+            # reach the boundary for `wait` ticks
+            wait = (abs(sqrt(d2) - r) - WAKE_MARGIN_M) / step
+            if wait <= 1.0:
+                calendar[tick + 1].append(entry)
+            elif wait < inf:
+                calendar[tick + ceil(wait)].append(entry)
+            # else: speeds so small that no run reaches the boundary
+        up.sort()
+        down.sort()
         return up, down
 
 

@@ -81,8 +81,8 @@ def split_copies(copies: int, binary: bool) -> tuple[int, int]:
     return copies - 1, 1
 
 
-def on_transfer_complete(router: RouterConfig, sender, receiver, msg: Message,
-                         now: float) -> Outcome:
+def on_transfer_complete(router: RouterConfig, sender, receiver,
+                         msg: Message) -> Outcome:
     """Apply delivery/relay semantics after net-core finishes a transfer.
 
     Mutates sender and receiver state: delivered sets, buffers and the

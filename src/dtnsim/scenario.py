@@ -10,6 +10,7 @@ Durations accept ``s``/``m``/``h`` suffixes, sizes accept ``k``/``M``
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 
 MOVEMENT_MODELS = ("shortest-path-map-based", "stationary")
@@ -134,6 +135,17 @@ def default_scenario() -> ScenarioConfig:
 
 # --- value parsing -------------------------------------------------------
 
+def _finite(value: float, text: str) -> float:
+    """``value`` parsed from ``text``, unless it is nan or infinite."""
+    if not math.isfinite(value):
+        raise ScenarioError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _parse_float(text: str) -> float:
+    return _finite(float(text), text)
+
+
 def parse_size(text: str) -> int:
     """Parse a byte count with optional decimal k/M suffix ('5M' -> 5000000)."""
     t = text.strip()
@@ -146,7 +158,7 @@ def parse_size(text: str) -> int:
         value = float(t)
     except ValueError:
         raise ScenarioError(f"bad size value {text!r}") from None
-    result = value * mult
+    result = _finite(value * mult, text)
     if result != int(result):
         raise ScenarioError(f"size {text!r} is not a whole number of bytes")
     return int(result)
@@ -163,9 +175,10 @@ def parse_duration(text: str) -> float:
     elif t.endswith("h"):
         mult, t = 3600.0, t[:-1]
     try:
-        return float(t) * mult
+        value = float(t)
     except ValueError:
         raise ScenarioError(f"bad duration value {text!r}") from None
+    return _finite(value * mult, text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -254,7 +267,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 if parts[2] == "bandwidth":
                     iface = replace(iface, bandwidth=float(parse_size(value)))
                 else:
-                    iface = replace(iface, range=float(value))
+                    iface = replace(iface, range=_parse_float(value))
                 interfaces[parts[1]] = iface
             elif parts[0] == "group" and len(parts) == 3 and parts[2] in _GROUP_KEYS:
                 gid = parts[1]
@@ -282,6 +295,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if exc.line is None:
                 raise ScenarioError(str(exc), lineno) from None
             raise
+        except ValueError as exc:
+            raise ScenarioError(f"group.{gid}.speed: {exc}", lineno) from None
 
     group_tuple = tuple(
         GroupConfig(**groups[gid]) for gid in group_order if groups[gid]["count"] > 0
@@ -323,11 +338,11 @@ def _apply_top_key(top: dict, mapspec: dict, traffic: dict, key: str, value: str
 
 def _apply_map_key(mapspec: dict, key: str, value: str) -> None:
     if key == "ring_radius":
-        mapspec["ring_radius"] = float(value)
+        mapspec["ring_radius"] = _parse_float(value)
     elif key == "exit_count":
         mapspec["exit_count"] = int(value)
     elif key == "road_length":
-        mapspec["road_length"] = float(value)
+        mapspec["road_length"] = _parse_float(value)
 
 
 def _apply_router_key(router: dict, key: str, value: str) -> None:
@@ -351,7 +366,7 @@ def _apply_group_key(group: dict, key: str, value: str) -> None:
         if value == "stationary":
             group["speed_range"] = (0.0, 0.0)
     elif key == "speed":
-        group["speed_range"] = _parse_pair(value, float, ordered=True)
+        group["speed_range"] = _parse_pair(value, _parse_float, ordered=True)
     elif key == "pause":
         group["pause_range"] = _parse_pair(value, parse_duration, ordered=True)
     elif key == "interfaces":

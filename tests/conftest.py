@@ -62,6 +62,42 @@ def script_config(nodes: int, duration: float = 200.0,
         SCRIPT_TEXT.format(nodes=nodes, duration=duration, ttl=ttl))
 
 
+class BruteForceContacts:
+    """The all-pairs contact scan, kept as the oracle for
+    ``netcore.ContactDetector``: every pair is checked on every tick, with
+    the same ``detect`` contract and the same ``d2 <= r2`` range test."""
+
+    def __init__(self, node_interfaces, interface_ranges):
+        self.pairs = []
+        n = len(node_interfaces)
+        for i in range(n):
+            set_i = set(node_interfaces[i])
+            for j in range(i + 1, n):
+                shared = sorted(set_i.intersection(node_interfaces[j]))
+                if not shared:
+                    continue
+                entries = tuple((name, interface_ranges[name] ** 2) for name in shared)
+                max_r2 = max(r2 for _, r2 in entries)
+                self.pairs.append((i, j, entries, max_r2))
+
+    def detect(self, positions, previous):
+        current = set()
+        for i, j, entries, max_r2 in self.pairs:
+            xi, yi = positions[i]
+            xj, yj = positions[j]
+            dx = xi - xj
+            dy = yi - yj
+            d2 = dx * dx + dy * dy
+            if d2 > max_r2:
+                continue
+            for name, r2 in entries:
+                if d2 <= r2:
+                    current.add((i, j, name))
+        up = sorted(k for k in current if k not in previous)
+        down = sorted(k for k in previous if k not in current)
+        return up, down
+
+
 class ScriptedContacts:
     """Stands in for ``sim.detector``: contacts follow a fixed schedule.
 

@@ -66,6 +66,39 @@ def test_bad_map_file_exits_1_everywhere(tmp_path, capsys, monkeypatch,
         assert len(err) == 1 and reason in err[0], (argv, err)
 
 
+def test_scenario_file_not_utf8_is_usage_error_everywhere(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY.encode() + b"# caf\xe9 \xff\n")
+    out = str(tmp_path / "out")
+    for argv in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", out],
+                 ["sweep", str(cfg), "--buffers", "5M", "--protocols",
+                  "epidemic", "--seeds", "1", "--out", out]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "can't decode" in err[0], (argv, err)
+
+
+@pytest.mark.parametrize("line", [
+    "sim_duration = nan",
+    "sim_duration = 1e400",
+    "ttl = nan",
+    "tick = nan",
+    "interface.wifi.range = nan",
+    "group.rescue.speed = 2.0,nan",
+    "group.rescue.speed = 2.0,1e400",
+    "buffer_size = inf",
+])
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")]
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text("\n".join(kept + [line]) + "\n")
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not a finite number" in err[0], err
+
+
 def test_run_writes_metrics_and_prints(tiny_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", tiny_file, "--seed", "4", "--out", str(out)]) == 0

@@ -111,30 +111,34 @@ def test_occupancy_matches_reference_model_under_random_ops():
 # --- contact detection --------------------------------------------------------
 
 BLUETOOTH_RANGES = {"bluetooth": 15.0, "wifi": 500.0}
+WALKING = [1.0, 1.0]        # per-node speed bounds, m/s
+
+
+def detector(interfaces, speeds=WALKING, tick=1.0):
+    return ContactDetector(interfaces, BLUETOOTH_RANGES, speeds, tick)
 
 
 def test_contact_within_range_comes_up():
-    det = ContactDetector([("bluetooth",), ("bluetooth",)], BLUETOOTH_RANGES)
+    det = detector([("bluetooth",), ("bluetooth",)])
     up, down = det.detect([(0.0, 0.0), (14.0, 0.0)], {})
     assert up == [(0, 1, "bluetooth")]
     assert down == []
 
 
 def test_no_contact_without_shared_interface():
-    det = ContactDetector([("bluetooth",), ("wifi",)], BLUETOOTH_RANGES)
+    det = detector([("bluetooth",), ("wifi",)])
     up, down = det.detect([(0.0, 0.0), (1.0, 0.0)], {})
     assert up == []
 
 
 def test_two_shared_interfaces_make_two_contacts():
-    det = ContactDetector([("bluetooth", "wifi"), ("bluetooth", "wifi")],
-                          BLUETOOTH_RANGES)
+    det = detector([("bluetooth", "wifi"), ("bluetooth", "wifi")])
     up, _ = det.detect([(0.0, 0.0), (10.0, 0.0)], {})
     assert up == [(0, 1, "bluetooth"), (0, 1, "wifi")]
 
 
 def test_contact_boundary_inclusive_and_down_transition():
-    det = ContactDetector([("bluetooth",), ("bluetooth",)], BLUETOOTH_RANGES)
+    det = detector([("bluetooth",), ("bluetooth",)])
     up, _ = det.detect([(0.0, 0.0), (15.0, 0.0)], {})
     assert up == [(0, 1, "bluetooth")]
     active = {(0, 1, "bluetooth"): 0.0}
@@ -144,9 +148,35 @@ def test_contact_boundary_inclusive_and_down_transition():
 
 
 def test_mixed_ranges_only_pair_like_interfaces():
-    det = ContactDetector([("bluetooth", "wifi"), ("wifi",)], BLUETOOTH_RANGES)
+    det = detector([("bluetooth", "wifi"), ("wifi",)])
     up, _ = det.detect([(0.0, 0.0), (100.0, 0.0)], {})
     assert up == [(0, 1, "wifi")]
+
+
+def test_stationary_pair_is_examined_once():
+    # nodes 0 and 1 stay 10 m apart; node 2 walks past both at 1 m/s, 5 m
+    # off their axis, so it meets node 0 for x in [-14.14, 14.14]
+    det = detector([("bluetooth",)] * 3, speeds=[0.0, 0.0, 1.0])
+    active: dict = {}
+    examined = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    events = []
+    for t in range(200):
+        x = -100.0 + t
+        up, down = det.detect([(0.0, 0.0), (10.0, 0.0), (x, 5.0)], active)
+        for key in down:
+            del active[key]
+            events.append((x, "down", key[:2]))
+        for key in up:
+            active[key] = float(t)
+            events.append((x, "up", key[:2]))
+        for entry in det.pairs:
+            examined[entry[:2]] += 1
+    assert events == [(-100.0, "up", (0, 1)),
+                      (-14.0, "up", (0, 2)), (-4.0, "up", (1, 2)),
+                      (15.0, "down", (0, 2)), (25.0, "down", (1, 2))]
+    assert examined[(0, 1)] == 1
+    # a moving pair is checked near its crossings, not on every tick
+    assert 4 <= examined[(0, 2)] < 100
 
 
 # --- transfers ------------------------------------------------------------------

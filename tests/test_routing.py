@@ -102,11 +102,11 @@ def test_first_arrival_at_destination_counts_hops_per_transfer():
     m = mk(1, src=0, dst=3)
     n0, n1, n2, n3 = Node(0), Node(1), Node(2), Node(3)
     n0.hold(m, hops=0)
-    out = on_transfer_complete(EPIDEMIC, n0, n1, m, now=1.0)
+    out = on_transfer_complete(EPIDEMIC, n0, n1, m)
     assert (out.kind, out.hops) == ("relayed", 1)
-    out = on_transfer_complete(EPIDEMIC, n1, n2, m, now=2.0)
+    out = on_transfer_complete(EPIDEMIC, n1, n2, m)
     assert (out.kind, out.hops) == ("relayed", 2)
-    out = on_transfer_complete(EPIDEMIC, n2, n3, m, now=3.0)
+    out = on_transfer_complete(EPIDEMIC, n2, n3, m)
     assert (out.kind, out.hops) == ("delivered", 3)
     assert "M1" in n3.delivered
     assert "M1" not in n3.buffer          # destination does not re-buffer
@@ -117,8 +117,8 @@ def test_second_arrival_at_destination_is_duplicate():
     a, b, dst = Node(1), Node(2), Node(3)
     a.hold(m, hops=0)
     b.hold(m, hops=4)
-    assert on_transfer_complete(EPIDEMIC, a, dst, m, 1.0).kind == "delivered"
-    out = on_transfer_complete(EPIDEMIC, b, dst, m, 2.0)
+    assert on_transfer_complete(EPIDEMIC, a, dst, m).kind == "delivered"
+    out = on_transfer_complete(EPIDEMIC, b, dst, m)
     assert out.kind == "duplicate"
     assert out.hops == 5
     assert dst.delivered == {"M1"}
@@ -128,7 +128,7 @@ def test_epidemic_sender_keeps_copy_after_delivery():
     m = mk(1, src=0, dst=3)
     a, dst = Node(1), Node(3)
     a.hold(m)
-    on_transfer_complete(EPIDEMIC, a, dst, m, 1.0)
+    on_transfer_complete(EPIDEMIC, a, dst, m)
     assert "M1" in a.buffer
 
 
@@ -136,7 +136,7 @@ def test_spray_sender_consumes_copy_on_direct_delivery():
     m = mk(1, src=0, dst=3)
     a, dst = Node(1), Node(3)
     a.hold(m, copies=3)
-    out = on_transfer_complete(SPRAY, a, dst, m, 1.0)
+    out = on_transfer_complete(SPRAY, a, dst, m)
     assert out.kind == "delivered" and out.sender_deleted
     assert "M1" not in a.buffer
 
@@ -145,7 +145,7 @@ def test_spray_relay_splits_budget_binary():
     m = mk(1, src=0, dst=9)
     a, b = Node(1), Node(2)
     a.hold(m, copies=10)
-    out = on_transfer_complete(SPRAY, a, b, m, 1.0)
+    out = on_transfer_complete(SPRAY, a, b, m)
     assert out.kind == "relayed" and out.accepted
     assert a.buffer.get("M1").copies == 5
     assert b.buffer.get("M1").copies == 5
@@ -155,7 +155,7 @@ def test_spray_relay_splits_budget_source_mode():
     m = mk(1, src=0, dst=9)
     a, b = Node(1), Node(2)
     a.hold(m, copies=7)
-    on_transfer_complete(RouterConfig("spray-and-wait", 7, False), a, b, m, 1.0)
+    on_transfer_complete(RouterConfig("spray-and-wait", 7, False), a, b, m)
     assert a.buffer.get("M1").copies == 6
     assert b.buffer.get("M1").copies == 1
 
@@ -168,7 +168,7 @@ def test_relay_into_full_buffer_still_relays_but_drops():
     blocker = mk(2, size=200_000)
     b.hold(blocker)
     b.buffer.pinned.add("M2")          # nothing evictable
-    out = on_transfer_complete(EPIDEMIC, a, b, m, 1.0)
+    out = on_transfer_complete(EPIDEMIC, a, b, m)
     assert out.kind == "relayed" and not out.accepted
     assert "M1" not in b.buffer
 
@@ -179,7 +179,7 @@ def test_relay_evictions_reported():
     a.hold(m)
     old = mk(2, size=300_000)
     b.hold(old)
-    out = on_transfer_complete(EPIDEMIC, a, b, m, 1.0)
+    out = on_transfer_complete(EPIDEMIC, a, b, m)
     assert out.accepted
     assert [c.msg.id for c in out.evicted] == ["M2"]
 
@@ -189,8 +189,8 @@ def test_concurrent_relay_duplicate_discarded():
     a, b, r = Node(1), Node(2), Node(3)
     a.hold(m, hops=0)
     b.hold(m, hops=2)
-    assert on_transfer_complete(EPIDEMIC, a, r, m, 1.0).kind == "relayed"
-    out = on_transfer_complete(EPIDEMIC, b, r, m, 1.0)
+    assert on_transfer_complete(EPIDEMIC, a, r, m).kind == "relayed"
+    out = on_transfer_complete(EPIDEMIC, b, r, m)
     assert out.kind == "relay_duplicate"
     assert r.buffer.get("M1").hops == 1     # first copy kept
 

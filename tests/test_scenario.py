@@ -65,6 +65,9 @@ def test_syntax_and_type_errors():
         parse_scenario("just some words")
     with pytest.raises(ScenarioError):
         parse_scenario("seed = notanumber")
+    # speeds are parsed after the other keys; a bad one still names its line
+    with pytest.raises(ScenarioError, match="line 2: group.rescue.speed"):
+        parse_scenario("seed = 1\ngroup.rescue.speed = fast,5")
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_scenario("seed = 1\nseed = 2")
 
