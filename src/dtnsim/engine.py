@@ -347,7 +347,7 @@ class Simulation:
                 if copy is None:
                     heappop(q)
                     continue
-                if (sender_id, msg_id) in pool.inflight_from:
+                if msg_id in buffer.pinned:
                     break   # busy elsewhere; retry once that transfer settles
                 receiver = nodes[receiver_id]
                 if msg_id in receiver.buffer or msg_id in receiver.delivered:

@@ -217,7 +217,6 @@ class TransferPool:
 
     def __init__(self):
         self.outgoing: dict[tuple[int, str], Transfer] = {}
-        self.inflight_from: set[tuple[int, str]] = set()  # (sender, msg id)
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
     def begin(self, sender: int, receiver: int, iface: str, msg: Message,
@@ -228,12 +227,10 @@ class TransferPool:
         assert key not in self.outgoing, "busy interface"
         tr = Transfer(sender, receiver, iface, msg, contact_key)
         self.outgoing[key] = tr
-        self.inflight_from.add((sender, msg.id))
         return tr
 
     def _release(self, tr: Transfer) -> None:
         del self.outgoing[(tr.sender, tr.iface)]
-        self.inflight_from.discard((tr.sender, tr.msg.id))
 
     def doom_contact(self, contact_key: tuple[int, int, str],
                      reason: str) -> None:

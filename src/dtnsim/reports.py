@@ -17,15 +17,37 @@ import math
 from dataclasses import dataclass
 from statistics import median
 
-CSV_COLUMNS = (
-    "protocol", "buffer_bytes", "seed", "created", "delivered", "relayed",
-    "dropped_total", "dropped_overflow", "dropped_ttl", "aborted",
-    "duplicates", "delivery_probability", "latency_avg_s", "overhead_ratio",
-    "hopcount_avg",
+# The metrics CSV, one row per column in file order: (CSV column,
+# MetricsSummary field, type).  The first three columns name the run and
+# have no summary field.
+_COLUMNS = (
+    ("protocol", None, str),
+    ("buffer_bytes", None, int),
+    ("seed", None, int),
+    ("created", "created", int),
+    ("delivered", "delivered", int),
+    ("relayed", "relayed", int),
+    ("dropped_total", "dropped_total", int),
+    ("dropped_overflow", "dropped_overflow", int),
+    ("dropped_ttl", "dropped_ttl", int),
+    ("aborted", "aborted", int),
+    ("duplicates", "duplicates", int),
+    ("delivery_probability", "delivery_probability", float),
+    ("latency_avg_s", "latency_avg", float),
+    ("overhead_ratio", "overhead_ratio", float),
+    ("hopcount_avg", "hopcount_avg", float),
 )
+CSV_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
 
-CHART_METRICS = ("delivery_probability", "latency_avg", "overhead_ratio",
-                 "hopcount_avg", "dropped")
+# chart metric -> (title, CSV column of its values)
+_CHARTS = {
+    "delivery_probability": ("Delivery probability", "delivery_probability"),
+    "latency_avg": ("Latency average (s)", "latency_avg_s"),
+    "overhead_ratio": ("Overhead ratio", "overhead_ratio"),
+    "hopcount_avg": ("Hop count average", "hopcount_avg"),
+    "dropped": ("Dropped messages", "dropped_total"),
+}
+CHART_METRICS = tuple(_CHARTS)
 
 NAN = float("nan")
 
@@ -98,10 +120,8 @@ def _fmt(value) -> str:
 
 def summary_row(protocol: str, buffer_bytes: int, seed: int,
                 s: MetricsSummary) -> list:
-    return [protocol, buffer_bytes, seed, s.created, s.delivered, s.relayed,
-            s.dropped_total, s.dropped_overflow, s.dropped_ttl, s.aborted,
-            s.duplicates, s.delivery_probability, s.latency_avg,
-            s.overhead_ratio, s.hopcount_avg]
+    return [protocol, buffer_bytes, seed] + [
+        getattr(s, name) for _, name, _ in _COLUMNS if name is not None]
 
 
 def write_csv(summaries: list[tuple[str, int, int, MetricsSummary]],
@@ -134,34 +154,13 @@ def read_csv(path: str) -> list[dict]:
         if len(parts) != len(header):
             raise ValueError(f"malformed CSV row: {ln!r}")
         row = dict(zip(header, parts))
-        for key in ("buffer_bytes", "seed", "created", "delivered", "relayed",
-                    "dropped_total", "dropped_overflow", "dropped_ttl",
-                    "aborted", "duplicates"):
-            row[key] = int(row[key])
-        for key in ("delivery_probability", "latency_avg_s", "overhead_ratio",
-                    "hopcount_avg"):
-            row[key] = float(row[key])
+        for column, _, kind in _COLUMNS:
+            row[column] = kind(row[column])
         rows.append(row)
     return rows
 
 
 # --- charts --------------------------------------------------------------------
-
-_METRIC_TITLES = {
-    "delivery_probability": "Delivery probability",
-    "latency_avg": "Latency average (s)",
-    "overhead_ratio": "Overhead ratio",
-    "hopcount_avg": "Hop count average",
-    "dropped": "Dropped messages",
-}
-
-_CSV_FIELD = {
-    "delivery_probability": "delivery_probability",
-    "latency_avg": "latency_avg_s",
-    "overhead_ratio": "overhead_ratio",
-    "hopcount_avg": "hopcount_avg",
-    "dropped": "dropped_total",
-}
 
 _COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b")
 
@@ -169,7 +168,7 @@ _COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b")
 def median_by_group(rows: list[dict], metric: str) -> dict[tuple[str, int], float]:
     """Median over seeds per (protocol, buffer); nan rows are ignored and a
     group of only-nan values stays nan."""
-    col = _CSV_FIELD[metric]
+    col = _CHARTS[metric][1]
     grouped: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         grouped.setdefault((row["protocol"], row["buffer_bytes"]), []).append(row[col])
@@ -209,9 +208,7 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
 
         def y_frac(v: float) -> float:
             if math.isnan(v) or v <= lo:
-                return 0.0 if (math.isnan(v) or v <= 0) else \
-                    max(0.0, (math.log10(v) - math.log10(lo))
-                        / (math.log10(hi) - math.log10(lo)))
+                return 0.0
             return (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
 
         grid_values = []
@@ -234,7 +231,7 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                  f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
     parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
-    title = _METRIC_TITLES[metric]
+    title = _CHARTS[metric][0]
     scale_note = " (log scale)" if log_scale else ""
     parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="16" fill="#222">{title}{scale_note}</text>')

@@ -9,7 +9,6 @@ Durations accept ``s``/``m``/``h`` suffixes, sizes accept ``k``/``M``
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +18,11 @@ PLACEMENTS = ("anywhere", "ring", "exit")
 ROLE_FLAGS = ("message_source", "message_destination")
 
 SWEEPABLE_AXES = ("buffer_bytes", "router.protocol")
+
+# The paper's 12 h run is 43,200 ticks; at the fastest rate measured (about
+# 7k ticks/s, desk scale) 10^8 ticks already take several host hours, so a
+# longer run is a typo in sim_duration or tick, not an experiment.
+MAX_TICKS = 10**8
 
 
 class ScenarioError(ValueError):
@@ -190,41 +194,102 @@ def _parse_bool(text: str) -> bool:
     raise ScenarioError(f"bad boolean value {text!r}")
 
 
-def _parse_pair(text: str, item_parser, ordered: bool = False) -> tuple:
+def _parse_pair(text: str, item_parser) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ScenarioError(f"expected 'min,max' pair, got {text!r}")
     pair = (item_parser(parts[0]), item_parser(parts[1]))
-    if ordered and pair[0] > pair[1]:
+    if pair[0] > pair[1]:
         raise ScenarioError(f"range {text!r} has min > max")
     return pair
 
 
-def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+def _parse_list(text: str, item_parser=str) -> tuple:
+    return tuple(item_parser(p.strip()) for p in text.split(",") if p.strip())
 
 
-# --- scenario file parsing -----------------------------------------------
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ScenarioError("seed must be non-negative")
+    return seed
 
-_TOP_KEYS = {
-    "sim_duration", "tick", "buffer_size", "seed",
-    "ttl", "interval_range", "size_range", "map",
+
+def _choice(allowed: tuple[str, ...], what: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ScenarioError(f"unknown {what} {text!r}")
+        return text
+    return parse
+
+
+def _fmt_num(x: float) -> str:
+    return repr(int(x)) if float(x) == int(x) else repr(float(x))
+
+
+def _pair(item_parser, item_fmt):
+    """(parse, format) of a ``min,max`` pair of items."""
+    return (lambda text: _parse_pair(text, item_parser),
+            lambda pair: f"{item_fmt(pair[0])},{item_fmt(pair[1])}")
+
+
+# --- the scenario format: one row per key ----------------------------------
+
+# key -> (section, field, parse, format); section "" is ScenarioConfig itself,
+# otherwise the name of its sub-config.  Rows are in serialization order.
+_KEYS = {
+    "sim_duration": ("", "sim_duration", parse_duration, _fmt_num),
+    "tick": ("", "tick", parse_duration, _fmt_num),
+    "buffer_size": ("", "buffer_bytes", parse_size, str),
+    "seed": ("", "seed", _parse_seed, str),
+    "ttl": ("traffic", "ttl", parse_duration, _fmt_num),
+    "interval_range": ("traffic", "interval_range", *_pair(parse_duration, _fmt_num)),
+    "size_range": ("traffic", "size_range", *_pair(parse_size, str)),
+    "router.protocol": ("router", "protocol", _choice(PROTOCOLS, "protocol"), str),
+    "router.copies": ("router", "copy_budget", int, str),
+    "router.binary": ("router", "binary_mode", _parse_bool,
+                      lambda b: "true" if b else "false"),
+    "map": ("map_source", "source", str, str),
+    "map.ring_radius": ("map_source", "ring_radius", _parse_float, _fmt_num),
+    "map.exit_count": ("map_source", "exit_count", int, str),
+    "map.road_length": ("map_source", "road_length", _parse_float, _fmt_num),
 }
-_ROUTER_KEYS = {"protocol", "copies", "binary"}
-_MAP_KEYS = {"ring_radius", "exit_count", "road_length"}
-_GROUP_KEYS = {"count", "movement", "speed", "pause", "interfaces", "roles",
-               "placement"}
-_IFACE_KEYS = {"bandwidth", "range"}
+
+# group.<id>.<key> -> (GroupConfig field, parse, format)
+_GROUP_FIELDS = {
+    "count": ("count", int, str),
+    "movement": ("movement", _choice(MOVEMENT_MODELS, "movement model"), str),
+    "speed": ("speed_range", *_pair(_parse_float, _fmt_num)),
+    "pause": ("pause_range", *_pair(parse_duration, _fmt_num)),
+    "interfaces": ("interfaces", _parse_list, ",".join),
+    "roles": ("role_flags",
+              lambda text: _parse_list(text, _choice(ROLE_FLAGS, "role flag")),
+              ",".join),
+    "placement": ("placement", _choice(PLACEMENTS, "placement"), str),
+}
+
+# interface.<name>.<key> -> (InterfaceConfig field, parse, format)
+_INTERFACE_FIELDS = {
+    "bandwidth": ("bandwidth", lambda text: float(parse_size(text)), _fmt_num),
+    "range": ("range", _parse_float, _fmt_num),
+}
+
+_NAMED_FIELDS = {"group": _GROUP_FIELDS, "interface": _INTERFACE_FIELDS}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text into a fully populated ScenarioConfig.
 
     Defaults come from the stadium scenario; any key present overrides the
-    default.  ``group.<id>.count = 0`` removes a default group.  Unknown
-    keys are an error, as are malformed lines and type mismatches.
+    default.  ``group.<id>.count = 0`` removes a default group, and
+    ``movement = stationary`` sets speed 0,0 unless the file sets the
+    group's speed.  Unknown keys are an error, as are malformed lines and
+    type mismatches; the first bad line in file order is reported.
     """
-    entries: dict[str, tuple[str, int]] = {}
+    sections: dict[str, dict] = {"": {}, "traffic": {}, "router": {},
+                                 "map_source": {}}
+    named: dict[str, dict[str, dict]] = {"group": {}, "interface": {}}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,194 +302,60 @@ def parse_scenario(text: str) -> ScenarioConfig:
             key = "buffer_size"
         if not key:
             raise ScenarioError("empty key", lineno)
-        if key in entries:
+        if key in seen:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
-        entries[key] = (value, lineno)
-
-    cfg = default_scenario()
-    groups: dict[str, dict] = {
-        g.group_id: dataclasses.asdict(g) for g in cfg.groups
-    }
-    group_order = [g.group_id for g in cfg.groups]
-    interfaces = dict(cfg.interfaces)
-    traffic = dataclasses.asdict(cfg.traffic)
-    router = dataclasses.asdict(cfg.router)
-    mapspec = dataclasses.asdict(cfg.map_source)
-    top: dict = {}
-
-    deferred_speeds: list[tuple[str, str, int]] = []
-    for key, (value, lineno) in entries.items():
+        seen.add(key)
         parts = key.split(".")
         try:
-            if len(parts) == 1 and key in _TOP_KEYS:
-                _apply_top_key(top, mapspec, traffic, key, value)
-            elif parts[0] == "map" and len(parts) == 2 and parts[1] in _MAP_KEYS:
-                _apply_map_key(mapspec, parts[1], value)
-            elif parts[0] == "router" and len(parts) == 2 and parts[1] in _ROUTER_KEYS:
-                _apply_router_key(router, parts[1], value)
-            elif parts[0] == "interface" and len(parts) == 3 and parts[2] in _IFACE_KEYS:
-                iface = interfaces.get(parts[1], InterfaceConfig(parts[1], 0.0, 0.0))
-                if parts[2] == "bandwidth":
-                    iface = replace(iface, bandwidth=float(parse_size(value)))
-                else:
-                    iface = replace(iface, range=_parse_float(value))
-                interfaces[parts[1]] = iface
-            elif parts[0] == "group" and len(parts) == 3 and parts[2] in _GROUP_KEYS:
-                gid = parts[1]
-                if gid not in groups:
-                    groups[gid] = dataclasses.asdict(GroupConfig(gid, 1))
-                    group_order.append(gid)
-                if parts[2] == "speed":
-                    # applied after movement keys so 'stationary' cannot clobber it
-                    deferred_speeds.append((gid, value, lineno))
-                else:
-                    _apply_group_key(groups[gid], parts[2], value)
+            if key in _KEYS:
+                section, name, parse, _ = _KEYS[key]
+                sections[section][name] = parse(value)
+            elif len(parts) == 3 and parts[2] in _NAMED_FIELDS.get(parts[0], ()):
+                name, parse, _ = _NAMED_FIELDS[parts[0]][parts[2]]
+                named[parts[0]].setdefault(parts[1], {})[name] = parse(value)
             else:
                 raise ScenarioError(f"unknown key {key!r}")
         except ScenarioError as exc:
-            if exc.line is None:
-                raise ScenarioError(str(exc), lineno) from None
-            raise
+            raise ScenarioError(str(exc), lineno) from None
         except ValueError as exc:
             raise ScenarioError(f"{key}: {exc}", lineno) from None
 
-    for gid, value, lineno in deferred_speeds:
-        try:
-            _apply_group_key(groups[gid], "speed", value)
-        except ScenarioError as exc:
-            if exc.line is None:
-                raise ScenarioError(str(exc), lineno) from None
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"group.{gid}.speed: {exc}", lineno) from None
-
-    group_tuple = tuple(
-        GroupConfig(**groups[gid]) for gid in group_order if groups[gid]["count"] > 0
-    )
-    return ScenarioConfig(
-        sim_duration=top.get("sim_duration", cfg.sim_duration),
-        tick=top.get("tick", cfg.tick),
-        groups=group_tuple,
-        interfaces=interfaces,
-        traffic=TrafficConfig(**traffic),
-        router=RouterConfig(**router),
-        buffer_bytes=top.get("buffer_bytes", cfg.buffer_bytes),
-        map_source=MapSpec(**mapspec),
-        seed=top.get("seed", cfg.seed),
-    )
+    cfg = default_scenario()
+    all_groups = {g.group_id: g for g in cfg.groups}
+    for gid, fields in named["group"].items():
+        if fields.get("movement") == "stationary":
+            fields.setdefault("speed_range", (0.0, 0.0))
+        all_groups[gid] = replace(all_groups.get(gid, GroupConfig(gid, 1)), **fields)
+    all_interfaces = dict(cfg.interfaces)
+    for name, fields in named["interface"].items():
+        iface = all_interfaces.get(name, InterfaceConfig(name, 0.0, 0.0))
+        all_interfaces[name] = replace(iface, **fields)
+    top = sections.pop("")
+    for section, fields in sections.items():
+        top[section] = replace(getattr(cfg, section), **fields)
+    return replace(cfg, groups=tuple(g for g in all_groups.values() if g.count > 0),
+                   interfaces=all_interfaces, **top)
 
 
-def _apply_top_key(top: dict, mapspec: dict, traffic: dict, key: str, value: str) -> None:
-    if key == "sim_duration":
-        top["sim_duration"] = parse_duration(value)
-    elif key == "tick":
-        top["tick"] = parse_duration(value)
-    elif key == "buffer_size":
-        top["buffer_bytes"] = parse_size(value)
-    elif key == "seed":
-        seed = int(value)
-        if seed < 0:
-            raise ScenarioError("seed must be non-negative")
-        top["seed"] = seed
-    elif key == "ttl":
-        traffic["ttl"] = parse_duration(value)
-    elif key == "interval_range":
-        traffic["interval_range"] = _parse_pair(value, parse_duration, ordered=True)
-    elif key == "size_range":
-        traffic["size_range"] = _parse_pair(value, parse_size, ordered=True)
-    elif key == "map":
-        mapspec["source"] = value
-
-
-def _apply_map_key(mapspec: dict, key: str, value: str) -> None:
-    if key == "ring_radius":
-        mapspec["ring_radius"] = _parse_float(value)
-    elif key == "exit_count":
-        mapspec["exit_count"] = int(value)
-    elif key == "road_length":
-        mapspec["road_length"] = _parse_float(value)
-
-
-def _apply_router_key(router: dict, key: str, value: str) -> None:
-    if key == "protocol":
-        if value not in PROTOCOLS:
-            raise ScenarioError(f"unknown protocol {value!r}")
-        router["protocol"] = value
-    elif key == "copies":
-        router["copy_budget"] = int(value)
-    elif key == "binary":
-        router["binary_mode"] = _parse_bool(value)
-
-
-def _apply_group_key(group: dict, key: str, value: str) -> None:
-    if key == "count":
-        group["count"] = int(value)
-    elif key == "movement":
-        if value not in MOVEMENT_MODELS:
-            raise ScenarioError(f"unknown movement model {value!r}")
-        group["movement"] = value
-        if value == "stationary":
-            group["speed_range"] = (0.0, 0.0)
-    elif key == "speed":
-        group["speed_range"] = _parse_pair(value, _parse_float, ordered=True)
-    elif key == "pause":
-        group["pause_range"] = _parse_pair(value, parse_duration, ordered=True)
-    elif key == "interfaces":
-        group["interfaces"] = _parse_list(value)
-    elif key == "roles":
-        roles = _parse_list(value)
-        for r in roles:
-            if r not in ROLE_FLAGS:
-                raise ScenarioError(f"unknown role flag {r!r}")
-        group["role_flags"] = roles
-    elif key == "placement":
-        if value not in PLACEMENTS:
-            raise ScenarioError(f"unknown placement {value!r}")
-        group["placement"] = value
-
-
-# --- serialization (round-trip partner of parse_scenario) -----------------
-
-def _fmt_num(x: float) -> str:
-    return repr(int(x)) if float(x) == int(x) else repr(float(x))
+def _field_lines(prefix: str, conf, table: dict) -> list[str]:
+    return [f"{prefix}.{key} = {fmt(getattr(conf, name))}"
+            for key, (name, _, fmt) in table.items()]
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Render cfg as scenario text; parse_scenario(serialize_scenario(c)) == c."""
-    lines = [
-        f"sim_duration = {_fmt_num(cfg.sim_duration)}",
-        f"tick = {_fmt_num(cfg.tick)}",
-        f"buffer_size = {cfg.buffer_bytes}",
-        f"seed = {cfg.seed}",
-        f"ttl = {_fmt_num(cfg.traffic.ttl)}",
-        f"interval_range = {_fmt_num(cfg.traffic.interval_range[0])},{_fmt_num(cfg.traffic.interval_range[1])}",
-        f"size_range = {cfg.traffic.size_range[0]},{cfg.traffic.size_range[1]}",
-        f"router.protocol = {cfg.router.protocol}",
-        f"router.copies = {cfg.router.copy_budget}",
-        f"router.binary = {'true' if cfg.router.binary_mode else 'false'}",
-        f"map = {cfg.map_source.source}",
-        f"map.ring_radius = {_fmt_num(cfg.map_source.ring_radius)}",
-        f"map.exit_count = {cfg.map_source.exit_count}",
-        f"map.road_length = {_fmt_num(cfg.map_source.road_length)}",
-    ]
+    lines = []
+    for key, (section, name, _, fmt) in _KEYS.items():
+        owner = getattr(cfg, section) if section else cfg
+        lines.append(f"{key} = {fmt(getattr(owner, name))}")
     for name in sorted(cfg.interfaces):
-        iface = cfg.interfaces[name]
-        lines.append(f"interface.{name}.bandwidth = {_fmt_num(iface.bandwidth)}")
-        lines.append(f"interface.{name}.range = {_fmt_num(iface.range)}")
-    default_ids = {g.group_id for g in default_groups()}
+        lines += _field_lines(f"interface.{name}", cfg.interfaces[name],
+                              _INTERFACE_FIELDS)
     for g in cfg.groups:
-        gid = g.group_id
-        lines.append(f"group.{gid}.count = {g.count}")
-        lines.append(f"group.{gid}.movement = {g.movement}")
-        lines.append(f"group.{gid}.speed = {_fmt_num(g.speed_range[0])},{_fmt_num(g.speed_range[1])}")
-        lines.append(f"group.{gid}.pause = {_fmt_num(g.pause_range[0])},{_fmt_num(g.pause_range[1])}")
-        lines.append(f"group.{gid}.interfaces = {','.join(g.interfaces)}")
-        if g.role_flags:
-            lines.append(f"group.{gid}.roles = {','.join(g.role_flags)}")
-        lines.append(f"group.{gid}.placement = {g.placement}")
+        lines += _field_lines(f"group.{g.group_id}", g, _GROUP_FIELDS)
     # default groups absent from cfg must be removed explicitly
     present = {g.group_id for g in cfg.groups}
-    for gid in sorted(default_ids - present):
+    for gid in sorted({g.group_id for g in default_groups()} - present):
         lines.append(f"group.{gid}.count = 0")
     return "\n".join(lines) + "\n"
 
@@ -440,6 +371,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         findings.append("tick: must be > 0")
     elif cfg.tick > cfg.sim_duration > 0:
         findings.append("tick: must not exceed sim_duration")
+    elif cfg.sim_duration / cfg.tick > MAX_TICKS:
+        findings.append(f"sim_duration: {cfg.sim_duration / cfg.tick:.3g} ticks "
+                        f"exceed the limit of {MAX_TICKS:.0e} ticks")
 
     if cfg.buffer_bytes < cfg.traffic.size_range[1]:
         findings.append(

@@ -14,11 +14,10 @@ from .scenario import TrafficConfig
 
 
 class TrafficState:
-    __slots__ = ("next_creation_at", "created_count", "counter")
+    __slots__ = ("next_creation_at", "counter")
 
     def __init__(self, first_at: float):
         self.next_creation_at = first_at
-        self.created_count = 0
         self.counter = 0
 
 
@@ -36,7 +35,6 @@ def create_message(state: TrafficState, rng: random.Random, sources: list[int],
     and (under spray-and-wait) assigns the copy budget.
     """
     state.counter += 1
-    state.created_count += 1
     src = sources[rng.randrange(len(sources))]
     dst = destinations[rng.randrange(len(destinations))]
     size = rng.randint(traffic.size_range[0], traffic.size_range[1])

@@ -137,7 +137,6 @@ class ScriptedSimulation(Simulation):
         while creations and creations[0][0] <= now:
             _, src, dst, size = creations.popleft()
             state.counter += 1
-            state.created_count += 1
             self._admit_created(Message(f"M{state.counter}", state.counter, src,
                                         dst, size, now, self.cfg.traffic.ttl), now)
 

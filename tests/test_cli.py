@@ -99,6 +99,17 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
     assert len(err) == 1 and "not a finite number" in err[0], err
 
 
+@pytest.mark.parametrize("line", ["sim_duration = 1e300", "tick = 1e-9"])
+def test_validate_rejects_runs_too_long_to_finish(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")]
+    path = tmp_path / "endless.cfg"
+    path.write_text("\n".join(kept + [line]) + "\n")
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "ticks" in err[0], err
+
+
 def test_run_writes_metrics_and_prints(tiny_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", tiny_file, "--seed", "4", "--out", str(out)]) == 0

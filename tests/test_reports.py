@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -183,6 +184,40 @@ def test_chart_deterministic_bytes(tmp_path):
                          str(tmp_path / "b.svg"))
     assert a == b
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def _pinned_linear_rows():
+    values = {}
+    for b in (5, 10, 15, 20):
+        for seed in (1, 2, 3):
+            values[("epidemic", b * 1_000_000, seed)] = 0.1 + b / 100 + seed / 50
+            values[("spray-and-wait", b * 1_000_000, seed)] = 0.4 + b / 80 - seed / 70
+    values[("spray-and-wait", 20_000_000, 2)] = float("nan")
+    return _rows(values)
+
+
+def _pinned_log_rows():
+    values = {}
+    for i, b in enumerate((5, 10, 15, 20)):
+        values[("epidemic", b * 1_000_000, 1)] = 804_000.0 / (i + 1)
+        values[("spray-and-wait", b * 1_000_000, 1)] = 37.0 * (i + 1)
+    values[("spray-and-wait", 20_000_000, 1)] = 0.0
+    return _rows(values)
+
+
+@pytest.mark.parametrize("metric, rows, digest", [
+    ("delivery_probability", _pinned_linear_rows(),
+     "66bd46b2a585f82ce95bd403d98db67fc6849d9f105f1785257dddf0ac46bf49"),
+    ("dropped", _pinned_log_rows(),
+     "81fdcdb6771d964f9e55a6a89937ee4d98702694ef40489627a7414e4eee53c3"),
+], ids=["linear", "log-scale"])
+def test_chart_bytes_match_pinned_digests(tmp_path, metric, rows, digest):
+    """Chart bytes are part of the reproducibility contract: these digests
+    were taken before the chart tables were merged and must not move."""
+    path = tmp_path / "c.svg"
+    svg = render_bar_chart(metric, rows, str(path))
+    assert ("(log scale)" in svg) == (metric == "dropped")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_chart_unknown_metric(tmp_path):

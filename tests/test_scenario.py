@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,12 @@ def test_empty_text_yields_default_stadium():
     assert cfg.interfaces["wifi"].range == 500
     assert cfg.interfaces["highspeed"].bandwidth == 20_000_000
     assert cfg.interfaces["highspeed"].range == 1200
+
+
+def test_stadium_file_is_default_scenario():
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cfg"
+            ).read_text(encoding="utf-8")
+    assert parse_scenario(text) == default_scenario()
 
 
 def test_default_scenario_validates_clean():
@@ -65,11 +72,14 @@ def test_syntax_and_type_errors():
         parse_scenario("just some words")
     with pytest.raises(ScenarioError):
         parse_scenario("seed = notanumber")
-    # speeds are parsed after the other keys; a bad one still names its line
+    # a bad speed names its line
     with pytest.raises(ScenarioError, match="line 2: group.rescue.speed"):
         parse_scenario("seed = 1\ngroup.rescue.speed = fast,5")
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_scenario("seed = 1\nseed = 2")
+    # errors name the first bad line in file order
+    with pytest.raises(ScenarioError, match="line 1: group.rescue.speed"):
+        parse_scenario("group.rescue.speed = fast,5\nbogus = 1")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -95,6 +105,9 @@ def test_group_overrides_merge_with_defaults():
 def test_stationary_movement_forces_zero_speed_unless_explicit():
     cfg = parse_scenario("group.kiosk.count = 1\ngroup.kiosk.movement = stationary")
     assert cfg.group("kiosk").speed_range == (0.0, 0.0)
+    for text in ("group.kiosk.movement = stationary\ngroup.kiosk.speed = 1,2",
+                 "group.kiosk.speed = 1,2\ngroup.kiosk.movement = stationary"):
+        assert parse_scenario(text).group("kiosk").speed_range == (1.0, 2.0)
 
 
 def test_validate_buffer_smaller_than_max_message():
@@ -134,6 +147,15 @@ def test_roundtrip_default_and_custom():
         "group.drones.speed = 5,9\ngroup.drones.interfaces = wifi\n"
         "interface.lora.bandwidth = 50k\ninterface.lora.range = 2000\n"
         "map.ring_radius = 300\nseed = 77\nbuffer_size = 15M",
+        "sim_duration = 90m\ntick = 0.5\nttl = 2h\ninterval_range = 12.5,40\n"
+        "size_range = 5k,250k\nmap = roads/stadium.wkt\nmap.exit_count = 5\n"
+        "map.road_length = 87.5\nbufferSize = 7500k\n"
+        "group.kiosk.count = 2\ngroup.kiosk.movement = stationary\n"
+        "group.kiosk.placement = exit\ngroup.kiosk.interfaces = wifi,bluetooth\n"
+        "group.kiosk.roles = message_destination,message_source\n"
+        "group.audience.pause = 1.5,300\ngroup.audience.roles =\n"
+        "group.sensors.movement = shortest-path-map-based\n"
+        "group.sensors.speed = 0.25,0.75",
     ):
         cfg = parse_scenario(text)
         assert parse_scenario(serialize_scenario(cfg)) == cfg

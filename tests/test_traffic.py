@@ -43,7 +43,7 @@ def test_create_message_fields():
         assert m.created_at == 50.0
         assert m.id not in seen
         seen.add(m.id)
-    assert state.created_count == 300
+    assert state.counter == 300
     assert m.id == "M300"
 
 
