@@ -49,11 +49,11 @@ def _print_summary(s: reports.MetricsSummary) -> None:
 
 
 def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
-    """Scenario invariants plus, for a map file, whether it parses."""
+    """Scenario invariants and, once those hold, whether the map builds."""
     findings = scenario.validate(cfg)
-    if not cfg.map_source.synthetic:
+    if not findings:
         try:
-            engine.load_map_file(cfg.map_source.source)
+            engine.load_map(cfg.map_source, cfg.seed)
         except engine.SimulationError as exc:
             findings.append(f"map: {exc}")
     return findings

@@ -31,7 +31,7 @@ from .netcore import (REASON_OVERFLOW, REASON_OVERSIZE, REASON_TTL,
                       Buffer, BufferedCopy, ContactDetector, Message,
                       TransferPool)
 from .reports import MetricsSummary, compute_metrics
-from .scenario import ScenarioConfig, validate
+from .scenario import MapSpec, ScenarioConfig, validate
 from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
 
 CREATED = "CREATED"
@@ -85,9 +85,8 @@ class Simulation:
             raise SimulationError("invalid scenario: " + "; ".join(findings))
         self.cfg = cfg
         self.seed = seed
-        self.spray = cfg.router.protocol == routing.SPRAY_AND_WAIT
 
-        self.graph = self._load_map()
+        self.graph = load_map(cfg.map_source, seed)
         self.nodes: list[NodeState] = []
         node_id = 0
         for group in cfg.groups:
@@ -117,7 +116,8 @@ class Simulation:
 
         self.tick_index = 0
         self.events: list[Event] = []
-        self.pool = TransferPool()
+        self.pool = TransferPool({name: bw * cfg.tick
+                                  for name, bw in self.bandwidth.items()})
         self.active: dict[tuple[int, int, str], float] = {}
         self.contacts_of: list[dict[tuple[int, str], tuple[int, int, str]]] = [
             {} for _ in self.nodes]
@@ -135,15 +135,6 @@ class Simulation:
         self.max_msg_size = 0
         self.relay_duplicates = 0
         self.refused = 0
-
-    # --- setup ------------------------------------------------------------
-
-    def _load_map(self) -> MapGraph:
-        ms = self.cfg.map_source
-        if ms.synthetic:
-            return generate_stadium_map(ms.ring_radius, ms.exit_count,
-                                        ms.road_length, rng_stream(self.seed, "map"))
-        return load_map_file(ms.source)
 
     # --- clock --------------------------------------------------------------
 
@@ -176,7 +167,7 @@ class Simulation:
         ups = self._detect_contacts(now)
         for key in ups:
             self._contact_offers(key, now)
-        self._run_transfers(now, dt)
+        self._run_transfers(now)
         self.tick_index += 1
 
     # --- phase 1: expiry -----------------------------------------------------
@@ -220,8 +211,7 @@ class Simulation:
             counters[1] += 1
             self.log(now, DROPPED, msg.id, msg.src, NO_NODE, 0, REASON_OVERSIZE)
             return
-        copies = self.cfg.router.copy_budget if self.spray else None
-        copy = BufferedCopy(msg, 0, copies)
+        copy = routing.source_copy(self.cfg.router, msg)
         accepted, evicted = node.buffer.insert(copy)
         if not accepted:
             counters[1] += 1
@@ -293,19 +283,17 @@ class Simulation:
                         now: float) -> None:
         router = self.cfg.router
         for (peer_id, iface), key in self.contacts_of[node.id].items():
-            intent = routing.offer_for_message(router, node,
-                                               self.nodes[peer_id], copy, now)
+            intent = routing.offer_for_message(router, self.nodes[peer_id],
+                                               copy, now)
             if intent is not None:
                 self._push_offer(node.id, iface, intent, key)
 
     # --- phases 6+7: transfers ------------------------------------------------------
 
-    def _run_transfers(self, now: float, dt: float) -> None:
+    def _run_transfers(self, now: float) -> None:
         budgets: dict[tuple[int, str], float] = {}
         pool = self.pool
-        for skey in pool.outgoing:
-            budgets[skey] = self.bandwidth[skey[1]] * dt
-        started = self._start_transfers(budgets, now, dt)
+        started = self._start_transfers()
         while True:
             completed, aborted = pool.advance(budgets)
             for tr in aborted:
@@ -320,16 +308,16 @@ class Simulation:
                     tr.sender, tr.iface))
                 for tr in completed:
                     self._complete(tr, now)
-            started = self._start_transfers(budgets, now, dt)
+            started = self._start_transfers()
             if not completed and not started:
                 break
 
-    def _start_transfers(self, budgets: dict, now: float, dt: float) -> int:
+    def _start_transfers(self) -> int:
         started = 0
         pool = self.pool
         nodes = self.nodes
         active = self.active
-        spray = self.spray
+        router = self.cfg.router
         ready = sorted(k for k, q in self.queues.items()
                        if q and k not in pool.outgoing)
         for skey in ready:
@@ -349,18 +337,10 @@ class Simulation:
                     continue
                 if msg_id in buffer.pinned:
                     break   # busy elsewhere; retry once that transfer settles
-                receiver = nodes[receiver_id]
-                if msg_id in receiver.buffer or msg_id in receiver.delivered:
-                    self.refused += 1
-                    heappop(q)
-                    continue
-                if (spray and receiver_id != copy.msg.dst
-                        and (copy.copies or 0) < 2):
-                    heappop(q)
-                    continue
                 heappop(q)
-                if skey not in budgets:
-                    budgets[skey] = self.bandwidth[iface] * dt
+                if not routing.may_forward(router, copy, nodes[receiver_id]):
+                    self.refused += 1
+                    continue
                 pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
                 buffer.pinned.add(msg_id)
                 started += 1
@@ -422,16 +402,20 @@ class Simulation:
                     f"{sent} bytes > {limit}")
 
 
-def load_map_file(path: str) -> MapGraph:
-    """Parse a LINESTRING map file; unreadable or invalid maps raise
-    SimulationError."""
+def load_map(spec: MapSpec, seed: int) -> MapGraph:
+    """The run's map: the synthetic stadium for ``seed`` or a LINESTRING map
+    file.  A map that cannot be read or built raises SimulationError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        if spec.synthetic:
+            return generate_stadium_map(spec.ring_radius, spec.exit_count,
+                                        spec.road_length, rng_stream(seed, "map"))
+        with open(spec.source, "r", encoding="utf-8") as fh:
             return parse_map(fh.read())
     except OSError as exc:
-        raise SimulationError(f"cannot read map file {path}: {exc}") from exc
+        raise SimulationError(f"cannot read map file {spec.source}: {exc}") from exc
     except (MapError, UnicodeDecodeError) as exc:
-        raise SimulationError(f"bad map file {path}: {exc}") from exc
+        what = "synthetic map" if spec.synthetic else f"map file {spec.source}"
+        raise SimulationError(f"bad {what}: {exc}") from exc
 
 
 def run(cfg: ScenarioConfig, seed: int) -> tuple[list[Event], MetricsSummary]:

@@ -213,9 +213,14 @@ class Transfer:
 
 
 class TransferPool:
-    """Active transfers with one outgoing slot per (node, interface)."""
+    """Active transfers with one outgoing slot per (node, interface).
 
-    def __init__(self):
+    ``tick_bytes`` maps each interface name to the bytes one slot may send
+    per tick.
+    """
+
+    def __init__(self, tick_bytes: dict[str, float]):
+        self.tick_bytes = tick_bytes
         self.outgoing: dict[tuple[int, str], Transfer] = {}
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
@@ -247,9 +252,11 @@ class TransferPool:
                 ) -> tuple[list[Transfer], list[Transfer]]:
         """Consume per-(node, interface) byte budgets in deterministic order.
 
-        Doomed transfers abort before receiving bytes; the receiver discards
-        any partial data.  Returns (completed, aborted); completed transfers
-        are released so follow-up transfers can reuse the slot and whatever
+        ``budgets`` holds what each slot has left this tick; a slot missing
+        from it starts with its interface's full ``tick_bytes``.  Doomed
+        transfers abort before receiving bytes; the receiver discards any
+        partial data.  Returns (completed, aborted); completed transfers are
+        released so follow-up transfers can reuse the slot and whatever
         budget remains this tick.
         """
         completed: list[Transfer] = []
@@ -259,7 +266,7 @@ class TransferPool:
             if tr.doomed:
                 aborted.append(tr)
                 continue
-            budget = budgets.get(key, 0.0)
+            budget = budgets.get(key, self.tick_bytes[key[1]])
             if budget <= 0.0:
                 continue
             need = tr.msg.size - tr.bytes_sent

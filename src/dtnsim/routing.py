@@ -3,8 +3,9 @@
 Epidemic offers every buffered, unexpired message the peer lacks (neither
 buffered nor already delivered there).  Spray-and-wait offers direct
 deliveries unconditionally and relays only while the copy budget allows
-(copies >= 2), splitting the budget at transfer completion.  Offer order is
-destination-match first, then oldest-created first.
+(copies >= 2), splitting the budget at transfer completion.  The same rule,
+``may_forward``, decides again when a queued offer reaches the head of its
+queue.  Offer order is destination-match first, then oldest-created first.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
@@ -25,7 +26,6 @@ SPRAY_AND_WAIT = "spray-and-wait"
 class Intent(NamedTuple):
     """One proposed transfer, in router-preferred order."""
 
-    sender: int
     receiver: int
     msg_id: str
     dst_match: bool
@@ -43,28 +43,37 @@ class Outcome(NamedTuple):
     sender_deleted: bool
 
 
-def _peer_lacks(peer, msg_id: str) -> bool:
-    return msg_id not in peer.buffer and msg_id not in peer.delivered
+def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
+    """The copy a new message starts with at its source, with its budget."""
+    copies = router.copy_budget if router.protocol == SPRAY_AND_WAIT else None
+    return BufferedCopy(msg, 0, copies)
 
 
-def offer_for_message(router: RouterConfig, me, peer, copy: BufferedCopy,
+def may_forward(router: RouterConfig, copy: BufferedCopy, peer) -> bool:
+    """Whether ``copy`` may go to ``peer``: the peer lacks the message
+    (neither buffered nor delivered there), and a spray-and-wait copy in
+    its wait phase goes only to its destination."""
+    msg = copy.msg
+    if msg.id in peer.buffer or msg.id in peer.delivered:
+        return False
+    return (msg.dst == peer.id or router.protocol != SPRAY_AND_WAIT
+            or copy.copies >= 2)
+
+
+def offer_for_message(router: RouterConfig, peer, copy: BufferedCopy,
                       now: float) -> Intent | None:
     """Single-message offer decision, shared by contact-up and arrivals."""
     msg = copy.msg
-    if msg.expired(now) or not _peer_lacks(peer, msg.id):
+    if msg.expired(now) or not may_forward(router, copy, peer):
         return None
-    if msg.dst == peer.id:
-        return Intent(me.id, peer.id, msg.id, True, msg.created_at, msg.seq)
-    if router.protocol == SPRAY_AND_WAIT and (copy.copies or 0) < 2:
-        return None     # wait phase: direct delivery only
-    return Intent(me.id, peer.id, msg.id, False, msg.created_at, msg.seq)
+    return Intent(peer.id, msg.id, msg.dst == peer.id, msg.created_at, msg.seq)
 
 
 def on_contact_up(router: RouterConfig, me, peer, now: float) -> list[Intent]:
     """Ordered transfer intents from me toward peer for a fresh contact."""
     intents = []
     for copy in me.buffer.copies.values():
-        intent = offer_for_message(router, me, peer, copy, now)
+        intent = offer_for_message(router, peer, copy, now)
         if intent is not None:
             intents.append(intent)
     intents.sort(key=lambda it: (not it.dst_match, it.created_at, it.seq))

@@ -311,6 +311,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 section, name, parse, _ = _KEYS[key]
                 sections[section][name] = parse(value)
             elif len(parts) == 3 and parts[2] in _NAMED_FIELDS.get(parts[0], ()):
+                if not parts[1]:
+                    raise ScenarioError(f"empty {parts[0]} name in key {key!r}")
                 name, parse, _ = _NAMED_FIELDS[parts[0]][parts[2]]
                 named[parts[0]].setdefault(parts[1], {})[name] = parse(value)
             else:
@@ -399,6 +401,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             findings.append(f"interface.{name}.bandwidth: must be > 0")
         if iface.range <= 0:
             findings.append(f"interface.{name}.range: must be > 0")
+        elif not math.isfinite(iface.range * iface.range):
+            # contact detection compares squared distances with range ** 2
+            findings.append(f"interface.{name}.range: {iface.range:g} m is too "
+                            f"large to square")
 
     if not cfg.groups:
         findings.append("groups: at least one group required")

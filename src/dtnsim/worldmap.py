@@ -30,20 +30,19 @@ class MapGraph:
 
     vertices: list[tuple[float, float]]
     edges: list[tuple[int, int]]                       # (i, j) with i < j
-    adjacency: list[list[tuple[int, float]]] = field(default_factory=list)
+    adjacency: list[list[tuple[int, float]]] = field(init=False)
     ring_vertices: tuple[int, ...] = ()                # synthetic maps only
     exit_vertices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.adjacency:
-            adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
-            for i, j in self.edges:
-                w = edge_length(self.vertices[i], self.vertices[j])
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-            for lst in adj:
-                lst.sort()
-            self.adjacency = adj
+        adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
+        for i, j in self.edges:
+            w = edge_length(self.vertices[i], self.vertices[j])
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+        for lst in adj:
+            lst.sort()
+        self.adjacency = adj
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -193,23 +192,10 @@ def shortest_path(g: MapGraph, src: int, dst: int) -> Path:
     return Path(tuple(seq), total)
 
 
-def nearest_vertex(g: MapGraph, point: tuple[float, float]) -> int:
-    """Index of the vertex closest to point; ties go to the smaller index."""
-    if not g.vertices:
-        raise MapError("empty map")
-    px, py = point
-    best, best_d = 0, math.inf
-    for idx, (x, y) in enumerate(g.vertices):
-        d = (x - px) * (x - px) + (y - py) * (y - py)
-        if d < best_d:
-            best, best_d = idx, d
-    return best
-
-
 # --- synthetic stadium -------------------------------------------------------
 
 def generate_stadium_map(ring_radius: float, exit_count: int, road_length: float,
-                         rng: random.Random, ring_segments: int | None = None) -> MapGraph:
+                         rng: random.Random) -> MapGraph:
     """Concourse ring, radial corridors to exits, and exit roads outward.
 
     Deterministic for fixed parameters and rng seed.  The ring is a jittered
@@ -222,8 +208,7 @@ def generate_stadium_map(ring_radius: float, exit_count: int, road_length: float
         raise MapError("exit_count must be >= 2")
     if road_length <= 0:
         raise MapError("road_length must be > 0")
-    if ring_segments is None:
-        ring_segments = max(16, 2 * exit_count)
+    ring_segments = max(16, 2 * exit_count)
 
     corridor = max(10.0, 0.2 * ring_radius)
     span = ring_radius * 1.05 + corridor + road_length + 10.0

@@ -110,6 +110,28 @@ def test_validate_rejects_runs_too_long_to_finish(tmp_path, capsys, line):
     assert len(err) == 1 and "ticks" in err[0], err
 
 
+@pytest.mark.parametrize("lines, reason", [
+    (["interface.wifi.range = 1e200"], "interface.wifi.range"),
+    (["map.ring_radius = 1e200"], "zero-length edge"),
+    (["map.road_length = 1e200"], "zero-length edge"),
+    (["group..count = 3", "group..roles = message_source"],
+     "line 13: empty group name"),
+    (["interface..range = 5", "interface..bandwidth = 1k"],
+     "line 13: empty interface name"),
+], ids=["huge-range", "huge-ring", "huge-road", "empty-group", "empty-interface"])
+def test_unbuildable_inputs_exit_1_with_one_line(tmp_path, capsys, lines, reason):
+    keys = [line.split(" = ")[0] for line in lines]
+    kept = [ln for ln in TINY.splitlines()
+            if not any(ln.startswith(key + " ") for key in keys)]
+    path = tmp_path / "unbuildable.cfg"
+    path.write_text("\n".join(kept + lines) + "\n")
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and reason in err[0], (argv, err)
+
+
 def test_run_writes_metrics_and_prints(tiny_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", tiny_file, "--seed", "4", "--out", str(out)]) == 0

@@ -11,6 +11,10 @@ def msg(mid, size, created=0.0, ttl=10_800.0, src=0, dst=1, seq=None):
                    size, created, ttl)
 
 
+# bytes per tick of each interface at a one-second tick
+TICK_BYTES = {"bluetooth": 250_000.0, "highspeed": 20_000_000.0}
+
+
 def copy(mid, size, hops=0, copies=None):
     return BufferedCopy(msg(mid, size), hops, copies)
 
@@ -182,7 +186,7 @@ def test_stationary_pair_is_examined_once():
 # --- transfers ------------------------------------------------------------------
 
 def test_transfer_completes_within_budget():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "highspeed")
     pool.begin(0, 1, "highspeed", msg("M1", 300_000), key)
     completed, aborted = pool.advance({(0, "highspeed"): 20_000_000.0})
@@ -192,7 +196,7 @@ def test_transfer_completes_within_budget():
 
 
 def test_transfer_progresses_across_ticks():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
     completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
@@ -203,7 +207,7 @@ def test_transfer_progresses_across_ticks():
 
 
 def test_exact_boundary_completes():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 250_000), key)
     completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
@@ -211,7 +215,7 @@ def test_exact_boundary_completes():
 
 
 def test_contact_break_aborts_without_partial_delivery():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     tr = pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
     pool.advance({(0, "bluetooth"): 125_000.0})
@@ -224,7 +228,7 @@ def test_contact_break_aborts_without_partial_delivery():
 
 
 def test_leftover_budget_chains_to_next_transfer():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     budgets = {(0, "bluetooth"): 250_000.0}
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
@@ -237,8 +241,23 @@ def test_leftover_budget_chains_to_next_transfer():
     assert budgets[(0, "bluetooth")] == 0.0
 
 
+def test_slot_missing_from_budgets_gets_full_tick_budget():
+    pool = TransferPool(TICK_BYTES)
+    key = (0, 1, "bluetooth")
+    budgets = {}
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    completed, _ = pool.advance(budgets)
+    assert [t.msg.id for t in completed] == ["M1"]
+    assert budgets == {(0, "bluetooth"): 150_000.0}
+    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key)
+    completed, _ = pool.advance(budgets)
+    assert completed == []
+    assert pool.outgoing[(0, "bluetooth")].bytes_sent == 150_000.0
+    assert budgets == {(0, "bluetooth"): 0.0}
+
+
 def test_one_outgoing_slot_per_interface():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
     assert (0, "bluetooth") in pool.outgoing
@@ -248,7 +267,7 @@ def test_one_outgoing_slot_per_interface():
 
 
 def test_completed_bytes_accounting():
-    pool = TransferPool()
+    pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
     pool.advance({(0, "bluetooth"): 250_000.0})

@@ -1,8 +1,8 @@
 import pytest
 
 from dtnsim.netcore import Buffer, BufferedCopy, Message
-from dtnsim.routing import (epidemic_oracle, on_contact_up,
-                            on_transfer_complete, split_copies)
+from dtnsim.routing import (epidemic_oracle, may_forward, on_contact_up,
+                            on_transfer_complete, source_copy, split_copies)
 from dtnsim.scenario import RouterConfig
 
 EPIDEMIC = RouterConfig("epidemic")
@@ -75,6 +75,41 @@ def test_spray_relays_when_budget_allows():
     a.hold(mk(2, dst=7), copies=1)
     intents = on_contact_up(SPRAY, a, b, now=0.0)
     assert [it.msg_id for it in intents] == ["M1"]
+
+
+# --- forwarding rule ---------------------------------------------------------
+
+@pytest.mark.parametrize("router", [EPIDEMIC, SPRAY], ids=["epidemic", "spray"])
+def test_may_forward_refuses_peer_that_buffers_or_had_it_delivered(router):
+    m = mk(1, dst=7)
+    a, holder, dst = Node(1), Node(2), Node(7)
+    a.hold(m, copies=10)
+    holder.hold(m, copies=1)
+    dst.delivered.add("M1")
+    copy = a.buffer.get("M1")
+    assert not may_forward(router, copy, holder)
+    assert not may_forward(router, copy, dst)
+    assert may_forward(router, copy, Node(3))
+
+
+def test_may_forward_wait_phase_copy_only_to_destination():
+    copy = BufferedCopy(mk(1, dst=7), 0, 1)
+    assert not may_forward(SPRAY, copy, Node(2))
+    assert may_forward(SPRAY, copy, Node(7))
+    assert may_forward(SPRAY, BufferedCopy(mk(2, dst=7), 0, 2), Node(2))
+
+
+def test_may_forward_epidemic_ignores_the_budget():
+    for copies in (None, 0, 1):
+        assert may_forward(EPIDEMIC, BufferedCopy(mk(1, dst=7), 0, copies),
+                           Node(2))
+
+
+def test_source_copy_carries_the_protocol_budget():
+    m = mk(1)
+    assert source_copy(EPIDEMIC, m).copies is None
+    spray = source_copy(RouterConfig("spray-and-wait", copy_budget=4), m)
+    assert (spray.msg, spray.hops, spray.copies) == (m, 0, 4)
 
 
 # --- copy splitting ------------------------------------------------------------

@@ -1,11 +1,16 @@
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 
-from dtnsim.scenario import (ScenarioError, default_scenario, expand_sweep,
+from dtnsim import cli, engine
+from dtnsim.scenario import (_GROUP_FIELDS, _INTERFACE_FIELDS, _KEYS,
+                             ScenarioError, default_scenario, expand_sweep,
                              parse_duration, parse_scenario, parse_size,
                              serialize_scenario, validate)
+
+STADIUM_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cfg"
 
 
 def test_empty_text_yields_default_stadium():
@@ -26,8 +31,7 @@ def test_empty_text_yields_default_stadium():
 
 
 def test_stadium_file_is_default_scenario():
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cfg"
-            ).read_text(encoding="utf-8")
+    text = STADIUM_CFG.read_text(encoding="utf-8")
     assert parse_scenario(text) == default_scenario()
 
 
@@ -80,6 +84,45 @@ def test_syntax_and_type_errors():
     # errors name the first bad line in file order
     with pytest.raises(ScenarioError, match="line 1: group.rescue.speed"):
         parse_scenario("group.rescue.speed = fast,5\nbogus = 1")
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e200", "", "2,1", "a,b", "1" * 5000,
+               "0", "-1", "3", "0.5,2", "1e200,1e200")
+
+
+def test_fuzzed_scenarios_are_rejected_or_build():
+    """Each mutation of the stadium file is refused by the parser, gets
+    findings from validation or builds a Simulation; none raises anything
+    else."""
+    rng = random.Random(2016)
+    base = STADIUM_CFG.read_text(encoding="utf-8").splitlines()
+    keys = (list(_KEYS)
+            + [f"group.{gid}.{name}" for gid in ("audience", "exits", "new", "")
+               for name in _GROUP_FIELDS]
+            + [f"interface.{iface}.{name}" for iface in ("wifi", "new", "")
+               for name in _INTERFACE_FIELDS])
+    outcomes = {"rejected": 0, "findings": 0, "built": 0}
+    # constructions dominate the cost: stop after 100 of them
+    while outcomes["built"] < 100 and sum(outcomes.values()) < 5000:
+        lines = list(base)
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            line = f"{key} = {rng.choice(FUZZ_VALUES)}"
+            at = [i for i, ln in enumerate(lines) if ln.startswith(key + " ")]
+            if at:
+                lines[at[0]] = line
+            else:
+                lines.append(line)
+        try:
+            cfg = parse_scenario("\n".join(lines))
+        except ScenarioError:
+            outcomes["rejected"] += 1
+            continue
+        if cli._findings(cfg):
+            outcomes["findings"] += 1
+            continue
+        engine.Simulation(cfg, cfg.seed)
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_comments_and_blank_lines_ignored():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dtnsim.worldmap import (MapError, MapGraph, build_graph,
-                             generate_stadium_map, nearest_vertex, parse_map,
+                             generate_stadium_map, parse_map,
                              serialize_map, shortest_path)
 
 
@@ -158,27 +158,6 @@ def test_vertex_out_of_range():
     g = parse_map("LINESTRING (0 0, 10 0)")
     with pytest.raises(MapError):
         shortest_path(g, 0, 5)
-
-
-# --- nearest vertex -----------------------------------------------------------
-
-def test_nearest_vertex_exact_and_tie():
-    g = build_graph([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
-                    [(0, 1), (1, 2), (2, 3)])
-    assert nearest_vertex(g, (20.0, 0.0)) == 2
-    # equidistant between vertices 1 and 2 -> smaller index
-    assert nearest_vertex(g, (15.0, 0.0)) == 1
-
-
-def test_nearest_vertex_matches_exhaustive_scan():
-    rng = random.Random(9)
-    for _ in range(30):
-        g = random_connected_graph(rng)
-        p = (rng.uniform(-10, 70), rng.uniform(-10, 70))
-        best = min(range(g.vertex_count()),
-                   key=lambda i: ((g.vertices[i][0] - p[0]) ** 2
-                                  + (g.vertices[i][1] - p[1]) ** 2, i))
-        assert nearest_vertex(g, p) == best
 
 
 # --- synthetic stadium ---------------------------------------------------------
