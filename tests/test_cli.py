@@ -238,28 +238,39 @@ def test_plot_missing_file_exit2():
     assert cli.main(["plot", "/nonexistent.csv"]) == 2
 
 
-# sha256 of events.tsv and metrics.csv from `dtnsim run scenarios/desk.cfg
-# --seed 1 --events` (5M buffer); a changed byte is a behaviour change
-DESK_DIGESTS = {
-    "epidemic": (
+STADIUM_CFG = DESK_CFG.parent / "stadium.cfg"
+
+# sha256 of events.tsv and metrics.csv from `dtnsim run CFG --seed 1 --events`
+# on a shipped scenario (5M buffer) with one line replaced; a changed byte is
+# a behaviour change.  The 1,500 s stadium epidemic run saturates its buffers
+# (13,565 overflow drops) and has three-interface nodes whose queue heads
+# wait on copies pinned by another transfer, which desk does not exercise.
+PINNED_RUNS = {
+    "desk-epidemic": (
+        DESK_CFG, "router.protocol = epidemic", "router.protocol = epidemic",
         "0a00036ee0bbc61ffae47e10c769a1e3d24cebaeb909835b45704387c0bfabcd",
         "6dbfa16dea18e0da8719dcad2179cd18d82904b501b35b79c3db1afe2089d5ea"),
-    "spray-and-wait": (
+    "desk-spray-and-wait": (
+        DESK_CFG, "router.protocol = epidemic", "router.protocol = spray-and-wait",
         "d68f79bdceb5396a03d3cc01727cafec7d563e788dceedcaeaa1dbc8be4b4441",
         "87d151553426c6d84e8338ceef4afab1052a4e9f23e775246b30e573ddc0d768"),
+    "stadium-epidemic-1500s": (
+        STADIUM_CFG, "sim_duration = 12h", "sim_duration = 1500",
+        "fad39aff8ca6c298382ababa1470d4b293503eccc033cf318d29cd613ade4405",
+        "b7dbebc6a96a58b04400bee05ad9e2bdcffe37139914eb85dd05ce4b45bf7f70"),
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(DESK_DIGESTS))
-def test_desk_outputs_match_pinned_digests(tmp_path, protocol):
-    text = DESK_CFG.read_text()
-    assert "router.protocol = epidemic\n" in text
-    cfg = tmp_path / "desk.cfg"
-    cfg.write_text(text.replace("router.protocol = epidemic",
-                                f"router.protocol = {protocol}"))
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_outputs_match_pinned_digests(tmp_path, run):
+    scenario, line, replacement, *pinned = PINNED_RUNS[run]
+    text = scenario.read_text()
+    assert line + "\n" in text
+    cfg = tmp_path / scenario.name
+    cfg.write_text(text.replace(line, replacement))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--seed", "1", "--out", str(out),
                      "--events"]) == 0
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in ("events.tsv", "metrics.csv"))
-    assert digests == DESK_DIGESTS[protocol]
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("events.tsv", "metrics.csv")]
+    assert digests == pinned
