@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heappop, heappush
 
 from . import mobility, routing, traffic
@@ -119,9 +119,12 @@ class Simulation:
         self.pool = TransferPool({name: bw * cfg.tick
                                   for name, bw in self.bandwidth.items()})
         self.active: dict[tuple[int, int, str], float] = {}
-        self.contacts_of: list[dict[tuple[int, str], tuple[int, int, str]]] = [
+        # per node: its live contacts, contact key -> peer, in order of coming up
+        self.contacts_of: list[dict[tuple[int, int, str], NodeState]] = [
             {} for _ in self.nodes]
-        self.queues: dict[tuple[int, str], list] = {}
+        # per (sender, interface): heap of (dst_match rank, created_at, seq,
+        # counter, receiver, msg_id, contact key)
+        self.queues: defaultdict[tuple[int, str], list] = defaultdict(list)
         self._queue_counter = 0
 
         self.traffic_rng = rng_stream(seed, "traffic")
@@ -247,15 +250,15 @@ class Simulation:
         for key in downs:
             del self.active[key]
             a, b, iface = key
-            del self.contacts_of[a][(b, iface)]
-            del self.contacts_of[b][(a, iface)]
+            del self.contacts_of[a][key]
+            del self.contacts_of[b][key]
             self.pool.doom_contact(key, "contact-down")
             self.log(now, CONTACT_DOWN, NO_MSG, a, b, 0, iface)
         for key in ups:
             self.active[key] = now
             a, b, iface = key
-            self.contacts_of[a][(b, iface)] = key
-            self.contacts_of[b][(a, iface)] = key
+            self.contacts_of[a][key] = self.nodes[b]
+            self.contacts_of[b][key] = self.nodes[a]
             self.log(now, CONTACT_UP, NO_MSG, a, b, 0, iface)
         return ups
 
@@ -264,12 +267,10 @@ class Simulation:
     def _push_offer(self, sender: int, iface: str, intent: routing.Intent,
                     contact_key: tuple[int, int, str]) -> None:
         self._queue_counter += 1
-        entry = (0 if intent.dst_match else 1, intent.created_at, intent.seq,
-                 self._queue_counter, intent.receiver, intent.msg_id, contact_key)
-        q = self.queues.get((sender, iface))
-        if q is None:
-            q = self.queues[(sender, iface)] = []
-        heappush(q, entry)
+        heappush(self.queues[(sender, iface)],
+                 (0 if intent.dst_match else 1, intent.created_at, intent.seq,
+                  self._queue_counter, intent.receiver, intent.msg_id,
+                  contact_key))
 
     def _contact_offers(self, key: tuple[int, int, str], now: float) -> None:
         a, b, iface = key
@@ -281,12 +282,24 @@ class Simulation:
 
     def _arrival_offers(self, node: NodeState, copy: BufferedCopy,
                         now: float) -> None:
-        router = self.cfg.router
-        for (peer_id, iface), key in self.contacts_of[node.id].items():
-            intent = routing.offer_for_message(router, self.nodes[peer_id],
-                                               copy, now)
-            if intent is not None:
-                self._push_offer(node.id, iface, intent, key)
+        """Queue ``copy`` toward every current contact the rule allows.  The
+        entries are those ``_push_offer`` makes, pushed inline: an arriving
+        copy meets tens of contacts, and a call per contact dominated here."""
+        contacts = self.contacts_of[node.id]
+        msg = copy.msg
+        if not contacts or msg.expired(now):
+            return
+        queues = self.queues
+        sender = node.id
+        created_at, seq, msg_id = msg.created_at, msg.seq, msg.id
+        counter = self._queue_counter
+        for dst_match, key, peer in routing.forward_targets(
+                self.cfg.router, copy, contacts.items()):
+            counter += 1
+            heappush(queues[(sender, key[2])],
+                     (0 if dst_match else 1, created_at, seq, counter,
+                      peer.id, msg_id, key))
+        self._queue_counter = counter
 
     # --- phases 6+7: transfers ------------------------------------------------------
 

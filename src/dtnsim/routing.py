@@ -3,9 +3,11 @@
 Epidemic offers every buffered, unexpired message the peer lacks (neither
 buffered nor already delivered there).  Spray-and-wait offers direct
 deliveries unconditionally and relays only while the copy budget allows
-(copies >= 2), splitting the budget at transfer completion.  The same rule,
-``may_forward``, decides again when a queued offer reaches the head of its
-queue.  Offer order is destination-match first, then oldest-created first.
+(copies >= 2), splitting the budget at transfer completion.  That rule is
+``forward_targets``, which offers an arriving copy to all of its holder's
+contacts at once; ``may_forward`` applies it to one peer, at contact-up and
+again when a queued offer reaches the head of its queue.  Offer order is
+destination-match first, then oldest-created first.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
@@ -49,15 +51,33 @@ def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
     return BufferedCopy(msg, 0, copies)
 
 
-def may_forward(router: RouterConfig, copy: BufferedCopy, peer) -> bool:
-    """Whether ``copy`` may go to ``peer``: the peer lacks the message
-    (neither buffered nor delivered there), and a spray-and-wait copy in
-    its wait phase goes only to its destination."""
+def forward_targets(router: RouterConfig, copy: BufferedCopy,
+                    contacts) -> list:
+    """The forwarding rule for one copy and many peers.
+
+    ``copy`` may go to a peer that neither buffers the message nor has had
+    it delivered; a spray-and-wait copy in its wait phase (fewer than 2
+    copies left) goes only to its destination.  ``contacts`` yields
+    ``(key, peer)`` pairs; the result lists ``(dst_match, key, peer)`` for
+    each peer the copy may go to, in ``contacts`` order.
+    """
     msg = copy.msg
-    if msg.id in peer.buffer or msg.id in peer.delivered:
-        return False
-    return (msg.dst == peer.id or router.protocol != SPRAY_AND_WAIT
-            or copy.copies >= 2)
+    msg_id = msg.id
+    dst = msg.dst
+    wait = router.protocol == SPRAY_AND_WAIT and copy.copies < 2
+    targets = []
+    for key, peer in contacts:
+        peer_id = peer.id
+        if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
+                or msg_id in peer.delivered):
+            continue
+        targets.append((peer_id == dst, key, peer))
+    return targets
+
+
+def may_forward(router: RouterConfig, copy: BufferedCopy, peer) -> bool:
+    """Whether ``copy`` may go to ``peer``: ``forward_targets`` for one peer."""
+    return bool(forward_targets(router, copy, ((None, peer),)))
 
 
 def offer_for_message(router: RouterConfig, peer, copy: BufferedCopy,

@@ -24,6 +24,13 @@ SWEEPABLE_AXES = ("buffer_bytes", "router.protocol")
 # longer run is a typo in sim_duration or tick, not an experiment.
 MAX_TICKS = 10**8
 
+# The paper's stadium has 85 nodes and 8 exits.  Contact detection keeps an
+# entry per node pair, so memory grows with the square of the node count
+# (about 150 MB to build a 1,000-node stadium run); the synthetic map grows
+# with the exit count.  Larger values are typos, not experiments.
+MAX_NODES = 1000
+MAX_EXITS = 1000
+
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario text (carries a line number when known)."""
@@ -440,6 +447,11 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         if g.placement not in PLACEMENTS:
             findings.append(f"group.{gid}.placement: unknown placement {g.placement!r}")
 
+    nodes = sum(g.count for g in cfg.groups)
+    if nodes > MAX_NODES:
+        findings.append(f"groups: {nodes} nodes in all exceed the limit of "
+                        f"{MAX_NODES}")
+
     sources = any("message_source" in g.role_flags for g in cfg.groups)
     dests = any("message_destination" in g.role_flags for g in cfg.groups)
     if not sources:
@@ -452,6 +464,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             findings.append("map.ring_radius: must be > 0")
         if cfg.map_source.exit_count < 2:
             findings.append("map.exit_count: must be >= 2")
+        elif cfg.map_source.exit_count > MAX_EXITS:
+            findings.append(f"map.exit_count: {cfg.map_source.exit_count} exits "
+                            f"exceed the limit of {MAX_EXITS}")
         if cfg.map_source.road_length <= 0:
             findings.append("map.road_length: must be > 0")
     return findings

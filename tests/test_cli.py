@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dtnsim import cli
+from dtnsim import cli, scenario
 
 DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
 
@@ -125,6 +125,25 @@ def test_unbuildable_inputs_exit_1_with_one_line(tmp_path, capsys, lines, reason
             if not any(ln.startswith(key + " ") for key in keys)]
     path = tmp_path / "unbuildable.cfg"
     path.write_text("\n".join(kept + lines) + "\n")
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and reason in err[0], (argv, err)
+
+
+@pytest.mark.parametrize("key, at_limit, reason", [
+    ("map.exit_count", scenario.MAX_EXITS, "exits exceed the limit"),
+    # TINY's other groups hold 6 nodes
+    ("group.audience.count", scenario.MAX_NODES - 6, "nodes in all exceed the limit"),
+], ids=["exits", "nodes"])
+def test_validate_bounds_exit_and_node_counts(tmp_path, capsys, key, at_limit,
+                                              reason):
+    kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")]
+    path = tmp_path / "large.cfg"
+    path.write_text("\n".join(kept + [f"{key} = {at_limit}"]) + "\n")
+    assert cli.main(["validate", str(path)]) == 0
+    path.write_text("\n".join(kept + [f"{key} = {at_limit + 1}"]) + "\n")
     for argv in (["validate", str(path)],
                  ["run", str(path), "--out", str(tmp_path / "out")]):
         assert cli.main(argv) == 1, argv

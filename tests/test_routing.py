@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from dtnsim.netcore import Buffer, BufferedCopy, Message
-from dtnsim.routing import (epidemic_oracle, may_forward, on_contact_up,
+from dtnsim.routing import (epidemic_oracle, forward_targets, may_forward,
+                            offer_for_message, on_contact_up,
                             on_transfer_complete, source_copy, split_copies)
 from dtnsim.scenario import RouterConfig
 
@@ -103,6 +106,40 @@ def test_may_forward_epidemic_ignores_the_budget():
     for copies in (None, 0, 1):
         assert may_forward(EPIDEMIC, BufferedCopy(mk(1, dst=7), 0, copies),
                            Node(2))
+
+
+@pytest.mark.parametrize("router, copies", [
+    (EPIDEMIC, None), (SPRAY, 1), (SPRAY, 2),
+], ids=["epidemic", "spray-wait-phase", "spray-two-copies"])
+def test_forward_targets_matches_per_peer_offers(router, copies):
+    # oracle: offer_for_message asked once per (peer, interface) contact
+    rng = random.Random(f"forward-targets/{router.protocol}/{copies}")
+    ifaces = ("bluetooth", "wifi", "highspeed")
+    cases = {True: 0, False: 0}        # destination among the contacts or not
+    for _ in range(300):
+        nodes = [Node(i) for i in range(10)]
+        msgs = [mk(seq, src=0, dst=rng.randrange(1, 12)) for seq in range(1, 5)]
+        for node in nodes[1:]:
+            for m in msgs:
+                r = rng.random()
+                if r < 0.3:
+                    node.hold(m, copies=copies)
+                elif r < 0.4:
+                    node.delivered.add(m.id)
+        copy = BufferedCopy(rng.choice(msgs), rng.randrange(3), copies)
+        links = [(peer, iface) for peer in nodes[1:] for iface in ifaces
+                 if rng.random() < 0.3]
+        rng.shuffle(links)
+        contacts = {(0, peer.id, iface): peer for peer, iface in links}
+        cases[any(peer.id == copy.msg.dst for peer in contacts.values())] += 1
+        expected = []
+        for key, peer in contacts.items():
+            intent = offer_for_message(router, peer, copy, copy.msg.created_at)
+            if intent is not None:
+                assert intent.receiver == peer.id
+                expected.append((intent.dst_match, key, peer))
+        assert forward_targets(router, copy, contacts.items()) == expected
+    assert min(cases.values()) >= 30, cases
 
 
 def test_source_copy_carries_the_protocol_budget():
