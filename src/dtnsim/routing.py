@@ -4,10 +4,10 @@ Epidemic offers every buffered, unexpired message the peer lacks (neither
 buffered nor already delivered there).  Spray-and-wait offers direct
 deliveries unconditionally and relays only while the copy budget allows
 (copies >= 2), splitting the budget at transfer completion.  That rule is
-``forward_targets``, which offers an arriving copy to all of its holder's
-contacts at once; ``may_forward`` applies it to one peer, at contact-up and
-again when a queued offer reaches the head of its queue.  Offer order is
-destination-match first, then oldest-created first.
+``forward_targets``, which the engine applies to all contacts of an
+arriving copy's holder at once; ``may_forward`` applies it to one peer, at
+contact-up and again when a queued offer reaches the head of its queue.
+Offer order is destination-match first, then oldest-created first.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
