@@ -282,10 +282,10 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
 def test_outputs_match_pinned_digests(tmp_path, run):
-    scenario, line, replacement, *pinned = PINNED_RUNS[run]
-    text = scenario.read_text()
+    base, line, replacement, *pinned = PINNED_RUNS[run]
+    text = base.read_text()
     assert line + "\n" in text
-    cfg = tmp_path / scenario.name
+    cfg = tmp_path / base.name
     cfg.write_text(text.replace(line, replacement))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--seed", "1", "--out", str(out),

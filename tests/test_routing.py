@@ -112,7 +112,8 @@ def test_may_forward_epidemic_ignores_the_budget():
     (EPIDEMIC, None), (SPRAY, 1), (SPRAY, 2),
 ], ids=["epidemic", "spray-wait-phase", "spray-two-copies"])
 def test_forward_targets_matches_per_peer_offers(router, copies):
-    # oracle: offer_for_message asked once per (peer, interface) contact
+    # oracle: offer_for_message asked once per (peer, interface) contact,
+    # itself checked against the rule written out here
     rng = random.Random(f"forward-targets/{router.protocol}/{copies}")
     ifaces = ("bluetooth", "wifi", "highspeed")
     cases = {True: 0, False: 0}        # destination among the contacts or not
@@ -132,9 +133,13 @@ def test_forward_targets_matches_per_peer_offers(router, copies):
         rng.shuffle(links)
         contacts = {(0, peer.id, iface): peer for peer, iface in links}
         cases[any(peer.id == copy.msg.dst for peer in contacts.values())] += 1
+        msg = copy.msg
         expected = []
         for key, peer in contacts.items():
-            intent = offer_for_message(router, peer, copy, copy.msg.created_at)
+            intent = offer_for_message(router, peer, copy, msg.created_at)
+            lacks = msg.id not in peer.buffer and msg.id not in peer.delivered
+            assert (intent is not None) == (lacks and (
+                peer.id == msg.dst or router is EPIDEMIC or copies >= 2))
             if intent is not None:
                 assert intent.receiver == peer.id
                 expected.append((intent.dst_match, key, peer))
