@@ -14,7 +14,14 @@ Each tick covers [clock, clock + tick) and executes a fixed phase order:
 
 Phases 6 and 7 loop to a fixed point so that back-to-back transfers can
 share one tick's bandwidth; with effectively infinite bandwidth an entire
-multi-hop exchange settles in the tick that enables it.  All randomness
+multi-hop exchange settles in the tick that enables it.
+
+Offers come from ``routing.offer_for_message`` at contact-up and whenever a
+copy arrives at a node (created or relayed), and wait in one queue per
+(sender, interface): destination matches first, then the oldest message,
+then the order the offers were made.  The head of a queue is checked
+against the rule again before its transfer starts.  Phase 1 leaves no
+expired copy behind, so offers need no expiry test.  All randomness
 comes from named streams derived from (seed, label), so mobility traces
 are identical across routing protocols.
 """
@@ -122,8 +129,8 @@ class Simulation:
         # per node: its live contacts, contact key -> peer, in order of coming up
         self.contacts_of: list[dict[tuple[int, int, str], NodeState]] = [
             {} for _ in self.nodes]
-        # per (sender, interface): heap of (dst_match rank, created_at, seq,
-        # counter, receiver, msg_id, contact key)
+        # per (sender, interface): heap of (dst_match rank, seq, counter,
+        # receiver, msg_id, contact key); seq order is creation order
         self.queues: defaultdict[tuple[int, str], list] = defaultdict(list)
         self._queue_counter = 0
 
@@ -136,7 +143,6 @@ class Simulation:
         self.holders: dict[str, set[int]] = {}
         self.expiry: deque[Message] = deque()
         self.max_msg_size = 0
-        self.relay_duplicates = 0
         self.refused = 0
 
     # --- clock --------------------------------------------------------------
@@ -156,8 +162,6 @@ class Simulation:
         while self.clock < duration:
             self.tick()
         summary = compute_metrics(self.events)
-        summary.relay_duplicates = self.relay_duplicates
-        summary.still_buffered = sum(len(h) for h in self.holders.values())
         self._audit(summary)
         return self.events, summary
 
@@ -169,7 +173,7 @@ class Simulation:
         self._step_mobility(now, dt)
         ups = self._detect_contacts(now)
         for key in ups:
-            self._contact_offers(key, now)
+            self._contact_offers(key)
         self._run_transfers(now)
         self.tick_index += 1
 
@@ -177,7 +181,7 @@ class Simulation:
 
     def _purge(self, now: float) -> None:
         expiry = self.expiry
-        while expiry and now - expiry[0].created_at > expiry[0].ttl:
+        while expiry and expiry[0].expired(now):
             msg = expiry.popleft()
             held = self.holders.pop(msg.id, None)
             if not held:
@@ -224,7 +228,7 @@ class Simulation:
             self._drop_evicted(node.id, ev, now)
         self.holders[msg.id] = {msg.src}
         self.expiry.append(msg)
-        self._arrival_offers(node, copy, now)
+        self._arrival_offers(node, copy)
 
     def _drop_evicted(self, node_id: int, copy: BufferedCopy, now: float) -> None:
         self.ledger[copy.msg.id][1] += 1
@@ -264,42 +268,32 @@ class Simulation:
 
     # --- phase 5: offers ---------------------------------------------------------
 
-    def _push_offer(self, sender: int, iface: str, intent: routing.Intent,
-                    contact_key: tuple[int, int, str]) -> None:
-        self._queue_counter += 1
-        heappush(self.queues[(sender, iface)],
-                 (0 if intent.dst_match else 1, intent.created_at, intent.seq,
-                  self._queue_counter, intent.receiver, intent.msg_id,
-                  contact_key))
+    def _queue(self, sender: int, offers) -> None:
+        """Queue each ``(dst_match, copy, key, peer)`` offer from ``sender``
+        on the interface of its contact."""
+        queues = self.queues
+        counter = self._queue_counter
+        for dst_match, copy, key, peer in offers:
+            counter += 1
+            msg = copy.msg
+            heappush(queues[(sender, key[2])],
+                     (0 if dst_match else 1, msg.seq, counter, peer.id, msg.id,
+                      key))
+        self._queue_counter = counter
 
-    def _contact_offers(self, key: tuple[int, int, str], now: float) -> None:
-        a, b, iface = key
+    def _contact_offers(self, key: tuple[int, int, str]) -> None:
+        a, b, _ = key
         router = self.cfg.router
         for me, peer in ((a, b), (b, a)):
-            for intent in routing.on_contact_up(router, self.nodes[me],
-                                                self.nodes[peer], now):
-                self._push_offer(me, iface, intent, key)
+            self._queue(me, routing.on_contact_up(router, self.nodes[me], key,
+                                                  self.nodes[peer]))
 
-    def _arrival_offers(self, node: NodeState, copy: BufferedCopy,
-                        now: float) -> None:
-        """Queue ``copy`` toward every current contact the rule allows.  The
-        entries are those ``_push_offer`` makes, pushed inline: an arriving
-        copy meets tens of contacts, and a call per contact dominated here."""
+    def _arrival_offers(self, node: NodeState, copy: BufferedCopy) -> None:
+        """Queue ``copy`` toward every current contact the rule allows."""
         contacts = self.contacts_of[node.id]
-        msg = copy.msg
-        if not contacts or msg.expired(now):
-            return
-        queues = self.queues
-        sender = node.id
-        created_at, seq, msg_id = msg.created_at, msg.seq, msg.id
-        counter = self._queue_counter
-        for dst_match, key, peer in routing.forward_targets(
-                self.cfg.router, copy, contacts.items()):
-            counter += 1
-            heappush(queues[(sender, key[2])],
-                     (0 if dst_match else 1, created_at, seq, counter,
-                      peer.id, msg_id, key))
-        self._queue_counter = counter
+        if contacts:
+            self._queue(node.id, routing.offer_for_message(
+                self.cfg.router, (copy,), contacts.items()))
 
     # --- phases 6+7: transfers ------------------------------------------------------
 
@@ -340,7 +334,7 @@ class Simulation:
             buffer = node.buffer
             while q:
                 head = q[0]
-                _, _, _, _, receiver_id, msg_id, ckey = head
+                _, _, _, receiver_id, msg_id, ckey = head
                 if ckey not in active:
                     heappop(q)
                     continue
@@ -351,7 +345,8 @@ class Simulation:
                 if msg_id in buffer.pinned:
                     break   # busy elsewhere; retry once that transfer settles
                 heappop(q)
-                if not routing.may_forward(router, copy, nodes[receiver_id]):
+                if not routing.offer_for_message(
+                        router, (copy,), ((ckey, nodes[receiver_id]),)):
                     self.refused += 1
                     continue
                 pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
@@ -388,13 +383,12 @@ class Simulation:
                 self.holders[msg.id].add(tr.receiver)
                 for ev in outcome.evicted:
                     self._drop_evicted(tr.receiver, ev, now)
-                self._arrival_offers(receiver, receiver.buffer.get(msg.id), now)
+                self._arrival_offers(receiver, receiver.buffer.get(msg.id))
             else:
                 counters[1] += 1
                 self.log(now, DROPPED, msg.id, tr.receiver, NO_NODE,
                          outcome.hops, REASON_OVERFLOW)
         elif outcome.kind == "relay_duplicate":
-            self.relay_duplicates += 1
             counters[3] += 1
 
     # --- audits -----------------------------------------------------------------

@@ -88,23 +88,21 @@ class Buffer:
             return False, []
         assert copy.msg.id not in self.copies, f"duplicate insert {copy.msg.id}"
         need = size - (self.capacity - self.occupancy)
+        evicted = []
         if need > 0:
-            evictable = [c for mid, c in self.copies.items() if mid not in self.pinned]
-            freeable = 0
-            take = 0
-            for c in evictable:
-                if freeable >= need:
+            pinned = self.pinned
+            for mid, c in self.copies.items():
+                if mid in pinned:
+                    continue
+                evicted.append(c)
+                need -= c.msg.size
+                if need <= 0:
                     break
-                freeable += c.msg.size
-                take += 1
-            if freeable < need:
+            else:
                 return False, []
-            evicted = evictable[:take]
             for c in evicted:
                 del self.copies[c.msg.id]
                 self.occupancy -= c.msg.size
-        else:
-            evicted = []
         self.copies[copy.msg.id] = copy
         self.occupancy += size
         return True, evicted

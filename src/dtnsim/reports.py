@@ -67,9 +67,6 @@ class MetricsSummary:
     latency_avg: float = NAN
     overhead_ratio: float = NAN
     hopcount_avg: float = NAN
-    # engine-filled extras (not part of the CSV schema)
-    relay_duplicates: int = 0
-    still_buffered: int = 0
 
 
 def compute_metrics(log) -> MetricsSummary:

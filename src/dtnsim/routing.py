@@ -1,13 +1,16 @@
 """Forwarding decisions for the two protocols behind one contract.
 
-Epidemic offers every buffered, unexpired message the peer lacks (neither
-buffered nor already delivered there).  Spray-and-wait offers direct
-deliveries unconditionally and relays only while the copy budget allows
-(copies >= 2), splitting the budget at transfer completion.  That rule is
-``forward_targets``, which the engine applies to all contacts of an
-arriving copy's holder at once; ``may_forward`` applies it to one peer, at
-contact-up and again when a queued offer reaches the head of its queue.
-Offer order is destination-match first, then oldest-created first.
+Epidemic offers every buffered message the peer lacks (neither buffered
+nor already delivered there).  Spray-and-wait offers direct deliveries
+unconditionally and relays only while the copy budget allows (copies >= 2),
+splitting the budget at transfer completion.  That rule is
+``offer_for_message``, and the engine asks it three things: which buffered
+copies may go to a contact that just came up (``on_contact_up``), which
+contacts an arriving copy may go to, and whether a queued offer still holds
+when it reaches the head of its queue.  Offers come out in buffer and
+contact order; the engine's queues send destination matches first, then
+the oldest message.  Expired copies never reach the rule: the engine
+purges them at the start of every tick.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
@@ -23,16 +26,6 @@ from .scenario import RouterConfig
 
 EPIDEMIC = "epidemic"
 SPRAY_AND_WAIT = "spray-and-wait"
-
-
-class Intent(NamedTuple):
-    """One proposed transfer, in router-preferred order."""
-
-    receiver: int
-    msg_id: str
-    dst_match: bool
-    created_at: float
-    seq: int
 
 
 class Outcome(NamedTuple):
@@ -51,53 +44,35 @@ def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
     return BufferedCopy(msg, 0, copies)
 
 
-def forward_targets(router: RouterConfig, copy: BufferedCopy,
-                    contacts) -> list:
-    """The forwarding rule for one copy and many peers.
+def offer_for_message(router: RouterConfig, copies, contacts) -> list:
+    """The forwarding rule for many copies and many peers.
 
-    ``copy`` may go to a peer that neither buffers the message nor has had
-    it delivered; a spray-and-wait copy in its wait phase (fewer than 2
-    copies left) goes only to its destination.  ``contacts`` yields
-    ``(key, peer)`` pairs; the result lists ``(dst_match, key, peer)`` for
-    each peer the copy may go to, in ``contacts`` order.
+    A copy may go to a peer that neither buffers the message nor has had it
+    delivered; a spray-and-wait copy in its wait phase (fewer than 2 copies
+    left) goes only to its destination.  ``contacts`` is a re-iterable of
+    ``(key, peer)`` pairs.  The result lists ``(dst_match, copy, key, peer)``
+    for each allowed pair, by copy and then by contact, in the order given.
     """
-    msg = copy.msg
-    msg_id = msg.id
-    dst = msg.dst
-    wait = router.protocol == SPRAY_AND_WAIT and copy.copies < 2
-    targets = []
-    for key, peer in contacts:
-        peer_id = peer.id
-        if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
-                or msg_id in peer.delivered):
-            continue
-        targets.append((peer_id == dst, key, peer))
-    return targets
+    spray = router.protocol == SPRAY_AND_WAIT
+    offers = []
+    for copy in copies:
+        msg = copy.msg
+        msg_id = msg.id
+        dst = msg.dst
+        wait = spray and copy.copies < 2
+        for key, peer in contacts:
+            peer_id = peer.id
+            if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
+                    or msg_id in peer.delivered):
+                continue
+            offers.append((peer_id == dst, copy, key, peer))
+    return offers
 
 
-def may_forward(router: RouterConfig, copy: BufferedCopy, peer) -> bool:
-    """Whether ``copy`` may go to ``peer``: ``forward_targets`` for one peer."""
-    return bool(forward_targets(router, copy, ((None, peer),)))
-
-
-def offer_for_message(router: RouterConfig, peer, copy: BufferedCopy,
-                      now: float) -> Intent | None:
-    """Single-message offer decision, shared by contact-up and arrivals."""
-    msg = copy.msg
-    if msg.expired(now) or not may_forward(router, copy, peer):
-        return None
-    return Intent(peer.id, msg.id, msg.dst == peer.id, msg.created_at, msg.seq)
-
-
-def on_contact_up(router: RouterConfig, me, peer, now: float) -> list[Intent]:
-    """Ordered transfer intents from me toward peer for a fresh contact."""
-    intents = []
-    for copy in me.buffer.copies.values():
-        intent = offer_for_message(router, peer, copy, now)
-        if intent is not None:
-            intents.append(intent)
-    intents.sort(key=lambda it: (not it.dst_match, it.created_at, it.seq))
-    return intents
+def on_contact_up(router: RouterConfig, me, key, peer) -> list:
+    """Offers of ``me``'s buffered copies to ``peer`` over the new contact
+    ``key``, in buffer order."""
+    return offer_for_message(router, me.buffer.copies.values(), ((key, peer),))
 
 
 def split_copies(copies: int, binary: bool) -> tuple[int, int]:

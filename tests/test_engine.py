@@ -7,7 +7,8 @@ import pytest
 from dtnsim import engine, scenario
 from dtnsim.engine import Simulation, SimulationError, rng_stream
 
-from conftest import desk_config, run_script, script_config
+from conftest import (ScriptedSimulation, check_state, desk_config, run_script,
+                      script_config)
 
 
 def event_lines(events):
@@ -212,6 +213,53 @@ interface.crawl.range = 1
     dropped = [e for e in events if e[1] == "DROPPED"]
     assert [e[6] for e in dropped] == ["ttl-expiry"]
     assert summary.delivered == 0
+
+
+@pytest.mark.parametrize("protocol", ["epidemic", "spray-and-wait"])
+def test_no_buffered_copy_outlives_its_ttl(protocol):
+    cfg = desk_config(protocol, sim_duration=1200)
+    cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(cfg.traffic,
+                                                               ttl=240.0))
+    sim = Simulation(cfg, 1)
+    while sim.clock < cfg.sim_duration:
+        sim.tick()
+        check_state(sim)
+    assert any(e[1] == "DROPPED" and e[6] == "ttl-expiry" for e in sim.events)
+
+
+def test_queue_sends_destination_match_first_then_oldest():
+    text = """
+sim_duration = 20
+buffer_size = 10M
+group.audience.count = 0
+group.rescue.count = 0
+group.ambulance.count = 0
+group.media.count = 0
+group.sensors.count = 0
+group.exits.count = 0
+group.n.count = 4
+group.n.movement = stationary
+group.n.interfaces = instant,slow
+group.n.roles = message_source,message_destination
+interface.instant.bandwidth = 1000000M
+interface.instant.range = 1
+interface.slow.bandwidth = 250k
+interface.slow.range = 1
+"""
+    cfg = scenario.parse_scenario(text)
+    # M1 is the oldest but reaches node 0 last, over the instant contact with
+    # node 2, so node 0 buffers M2, M3, M1; then each transfer to node 1
+    # takes 1.2 s, one at a time
+    sim = ScriptedSimulation(cfg, 1, contacts=[
+        (0, 2, "instant", 3.0, 4.0), (0, 1, "slow", 5.0, 20.0)], creations=[
+        (0.0, 2, 3, 300_000), (1.0, 0, 3, 300_000), (2.0, 0, 1, 300_000)])
+    events, _ = sim.run()
+    assert [e[2] for e in events if e[1] == "RELAYED" and e[3] == 2] == ["M1"]
+    sent = [(e[0], e[1], e[2]) for e in events
+            if e[1] in ("RELAYED", "DELIVERED") and (e[3], e[4]) == (0, 1)]
+    assert sent == [(6.0, "DELIVERED", "M3"), (7.0, "RELAYED", "M1"),
+                    (8.0, "RELAYED", "M2")]
+    assert list(sim.nodes[0].buffer.copies) == ["M2", "M3", "M1"]
 
 
 def test_created_count_bounds_one_hour(tiny_config):

@@ -90,26 +90,51 @@ def test_occupancy_matches_reference_model_under_random_ops():
     rng = random.Random(2024)
     b = Buffer(1_000_000)
     reference: list[tuple[str, int]] = []   # (id, size) in receive order
-    for step in range(400):
+    pins: set[str] = set()
+    cases = {"pinned-oldest": 0, "rejected": 0}
+    for step in range(600):
         mid = f"M{step}"
         size = rng.randrange(50_000, 400_000)
         accepted, evicted = b.insert(copy(mid, size))
-        # reference: FIFO-evict until fit, reject only if oversize
-        if size > 1_000_000:
-            assert not accepted
+        # reference: FIFO-evict unpinned copies until fit; reject, evicting
+        # nothing, when all of them together free too little
+        free = 1_000_000 - sum(s for _, s in reference)
+        gone = []
+        for m, s in reference:
+            if free >= size:
+                break
+            if m not in pins:
+                gone.append((m, s))
+                free += s
+        if free < size:
+            assert not accepted and evicted == []
+            cases["rejected"] += 1
         else:
-            gone = []
-            while sum(s for _, s in reference) + size > 1_000_000:
-                gone.append(reference.pop(0))
-            reference.append((mid, size))
             assert accepted
-            assert [c.msg.id for c in evicted] == [g[0] for g in gone]
+            assert [c.msg.id for c in evicted] == [m for m, _ in gone]
+            if gone and reference[0][0] in pins:
+                cases["pinned-oldest"] += 1
+            for g in gone:
+                reference.remove(g)
+            reference.append((mid, size))
         assert b.occupancy == sum(s for _, s in reference)
         assert b.occupancy <= 1_000_000
         assert list(b.copies) == [m for m, _ in reference]
-        if reference and rng.random() < 0.2:
-            victim = reference.pop(rng.randrange(len(reference)))
-            b.remove(victim[0])
+        r = rng.random()
+        if reference and r < 0.15:
+            victim, _ = reference.pop(rng.randrange(len(reference)))
+            b.remove(victim)
+            pins.discard(victim)
+            b.pinned.discard(victim)
+        elif reference and r < 0.55:
+            m, _ = rng.choice(reference)
+            pins.add(m)
+            b.pinned.add(m)
+        elif pins and r < 0.75:
+            m = rng.choice(sorted(pins))
+            pins.discard(m)
+            b.pinned.discard(m)
+    assert min(cases.values()) >= 20, cases
 
 
 # --- contact detection --------------------------------------------------------

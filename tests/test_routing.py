@@ -3,8 +3,7 @@ import random
 import pytest
 
 from dtnsim.netcore import Buffer, BufferedCopy, Message
-from dtnsim.routing import (epidemic_oracle, forward_targets, may_forward,
-                            offer_for_message, on_contact_up,
+from dtnsim.routing import (epidemic_oracle, offer_for_message, on_contact_up,
                             on_transfer_complete, source_copy, split_copies)
 from dtnsim.scenario import RouterConfig
 
@@ -28,6 +27,17 @@ def mk(seq, src=0, dst=9, size=100_000, created=0.0, ttl=10_800.0):
     return Message(f"M{seq}", seq, src, dst, size, created, ttl)
 
 
+def offered(me, peer, router=EPIDEMIC):
+    """Message ids ``me`` offers ``peer`` over a fresh contact."""
+    offers = on_contact_up(router, me, (me.id, peer.id, "wifi"), peer)
+    return [copy.msg.id for _, copy, _, _ in offers]
+
+
+def may_forward(router, copy, peer):
+    """The forwarding rule for one copy and one peer."""
+    return bool(offer_for_message(router, (copy,), (("key", peer),)))
+
+
 # --- offers ---------------------------------------------------------------
 
 def test_epidemic_offers_only_what_peer_lacks():
@@ -37,47 +47,28 @@ def test_epidemic_offers_only_what_peer_lacks():
         a.hold(m)
     b.hold(msgs[0])
     b.delivered.add("M2")
-    intents = on_contact_up(EPIDEMIC, a, b, now=10.0)
-    assert [it.msg_id for it in intents] == ["M3", "M4", "M5"]
-
-
-def test_epidemic_orders_destination_match_first_then_oldest():
-    a, b = Node(1), Node(2)
-    a.hold(mk(1, dst=7, created=5.0))
-    a.hold(mk(2, dst=2, created=9.0))      # destination match, newest
-    a.hold(mk(3, dst=7, created=1.0))
-    intents = on_contact_up(EPIDEMIC, a, b, now=10.0)
-    assert [it.msg_id for it in intents] == ["M2", "M3", "M1"]
-    assert intents[0].dst_match
-
-
-def test_expired_messages_never_offered():
-    a, b = Node(1), Node(2)
-    a.hold(mk(1, created=0.0, ttl=100.0))
-    assert on_contact_up(EPIDEMIC, a, b, now=101.0) == []
-    assert len(on_contact_up(EPIDEMIC, a, b, now=100.0)) == 1
+    assert offered(a, b) == ["M3", "M4", "M5"]
 
 
 def test_spray_wait_phase_withholds_relays():
     a, b = Node(1), Node(2)
     a.hold(mk(1, dst=7), copies=1)
-    assert on_contact_up(SPRAY, a, b, now=0.0) == []
+    assert offered(a, b, SPRAY) == []
 
 
 def test_spray_direct_delivery_allowed_with_one_copy():
     a, dst = Node(1), Node(7)
     a.hold(mk(1, dst=7), copies=1)
-    intents = on_contact_up(SPRAY, a, dst, now=0.0)
-    assert [it.msg_id for it in intents] == ["M1"]
-    assert intents[0].dst_match
+    key = (1, 7, "wifi")
+    assert on_contact_up(SPRAY, a, key, dst) == [
+        (True, a.buffer.get("M1"), key, dst)]
 
 
 def test_spray_relays_when_budget_allows():
     a, b = Node(1), Node(2)
     a.hold(mk(1, dst=7), copies=2)
     a.hold(mk(2, dst=7), copies=1)
-    intents = on_contact_up(SPRAY, a, b, now=0.0)
-    assert [it.msg_id for it in intents] == ["M1"]
+    assert offered(a, b, SPRAY) == ["M1"]
 
 
 # --- forwarding rule ---------------------------------------------------------
@@ -112,14 +103,14 @@ def test_may_forward_epidemic_ignores_the_budget():
     (EPIDEMIC, None), (SPRAY, 1), (SPRAY, 2),
 ], ids=["epidemic", "spray-wait-phase", "spray-two-copies"])
 def test_forward_targets_matches_per_peer_offers(router, copies):
-    # oracle: offer_for_message asked once per (peer, interface) contact,
-    # itself checked against the rule written out here
+    # oracle: the rule written out for each (copy, contact) pair, in
+    # copy-then-contact order
     rng = random.Random(f"forward-targets/{router.protocol}/{copies}")
     ifaces = ("bluetooth", "wifi", "highspeed")
     cases = {True: 0, False: 0}        # destination among the contacts or not
     for _ in range(300):
         nodes = [Node(i) for i in range(10)]
-        msgs = [mk(seq, src=0, dst=rng.randrange(1, 12)) for seq in range(1, 5)]
+        msgs = [mk(seq, src=0, dst=rng.randrange(1, 12)) for seq in range(1, 7)]
         for node in nodes[1:]:
             for m in msgs:
                 r = rng.random()
@@ -127,23 +118,23 @@ def test_forward_targets_matches_per_peer_offers(router, copies):
                     node.hold(m, copies=copies)
                 elif r < 0.4:
                     node.delivered.add(m.id)
-        copy = BufferedCopy(rng.choice(msgs), rng.randrange(3), copies)
+        held = [BufferedCopy(m, rng.randrange(3), copies)
+                for m in rng.sample(msgs, rng.randrange(1, 5))]
         links = [(peer, iface) for peer in nodes[1:] for iface in ifaces
                  if rng.random() < 0.3]
         rng.shuffle(links)
         contacts = {(0, peer.id, iface): peer for peer, iface in links}
-        cases[any(peer.id == copy.msg.dst for peer in contacts.values())] += 1
-        msg = copy.msg
+        cases[any(peer.id == c.msg.dst for c in held
+                  for peer in contacts.values())] += 1
         expected = []
-        for key, peer in contacts.items():
-            intent = offer_for_message(router, peer, copy, msg.created_at)
-            lacks = msg.id not in peer.buffer and msg.id not in peer.delivered
-            assert (intent is not None) == (lacks and (
-                peer.id == msg.dst or router is EPIDEMIC or copies >= 2))
-            if intent is not None:
-                assert intent.receiver == peer.id
-                expected.append((intent.dst_match, key, peer))
-        assert forward_targets(router, copy, contacts.items()) == expected
+        for copy in held:
+            msg = copy.msg
+            for key, peer in contacts.items():
+                lacks = msg.id not in peer.buffer and msg.id not in peer.delivered
+                if lacks and (peer.id == msg.dst or router is EPIDEMIC
+                              or copies >= 2):
+                    expected.append((peer.id == msg.dst, copy, key, peer))
+        assert offer_for_message(router, held, contacts.items()) == expected
     assert min(cases.values()) >= 30, cases
 
 
