@@ -83,7 +83,11 @@ def cmd_run(args) -> int:
     except scenario.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    seed = args.seed if args.seed is not None else cfg.seed
+    try:
+        seed = cfg.seed if args.seed is None else scenario.parse_seed(args.seed)
+    except (ValueError, scenario.ScenarioError) as exc:
+        print(f"error: --seed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         events, summary = engine.run(cfg, seed)
     except engine.SimulationError as exc:
@@ -138,14 +142,24 @@ def plot_csv(csv_path: str, out_dir: str) -> list[str]:
     return written
 
 
+def _axis(flag: str, text: str, parse) -> list:
+    """The parsed values of a comma-separated sweep axis; ValueError when a
+    value repeats after parsing."""
+    values = [parse(item) for item in text.split(",") if item]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} repeats {value}")
+    return values
+
+
 def cmd_sweep(args) -> int:
     config_text = _read_scenario(args.config)
     if config_text is None:
         return EXIT_USAGE
     try:
-        buffers = [scenario.parse_size(b) for b in args.buffers.split(",") if b]
-        protocols = [p for p in args.protocols.split(",") if p]
-        seeds = [int(s) for s in args.seeds.split(",") if s]
+        buffers = _axis("--buffers", args.buffers, scenario.parse_size)
+        protocols = _axis("--protocols", args.protocols, str)
+        seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
     except (ValueError, scenario.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -217,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one scenario")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default="out")
     p.add_argument("--events", action="store_true",
                    help="also write the full event log (large for epidemic)")

@@ -16,6 +16,12 @@ Phases 6 and 7 loop to a fixed point so that back-to-back transfers can
 share one tick's bandwidth; with effectively infinite bandwidth an entire
 multi-hop exchange settles in the tick that enables it.
 
+Every copy that enters a buffer, created or relayed, goes through
+``Simulation._admit``, which logs the buffer-overflow drops, keeps the
+holders index and the ledger, and queues the copy's offers.
+``routing.on_transfer_complete`` only decides: its outcome names the event
+to log and the copy, if any, for the receiver to store.
+
 Offers come from ``routing.offer_for_message`` at contact-up and whenever a
 copy arrives at a node (created or relayed), and wait in one queue per
 (sender, interface): destination matches first, then the oldest message,
@@ -34,21 +40,13 @@ from collections import defaultdict, deque
 from heapq import heappop, heappush
 
 from . import mobility, routing, traffic
-from .netcore import (REASON_OVERFLOW, REASON_OVERSIZE, REASON_TTL,
-                      Buffer, BufferedCopy, ContactDetector, Message,
+from .netcore import (Buffer, BufferedCopy, ContactDetector, Message,
                       TransferPool)
-from .reports import MetricsSummary, compute_metrics
+from .reports import (ABORTED, CONTACT_DOWN, CONTACT_UP, CREATED, DROPPED,
+                      REASON_CONTACT_DOWN, REASON_OVERFLOW, REASON_TTL,
+                      RELAYED, MetricsSummary, compute_metrics)
 from .scenario import MapSpec, ScenarioConfig, validate
 from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
-
-CREATED = "CREATED"
-RELAYED = "RELAYED"
-DELIVERED = "DELIVERED"
-DUPLICATE = "DUPLICATE"
-DROPPED = "DROPPED"
-ABORTED = "ABORTED"
-CONTACT_UP = "CONTACT_UP"
-CONTACT_DOWN = "CONTACT_DOWN"
 
 # event record: (time, kind, msg_id, node_a, node_b, hops, reason)
 Event = tuple[float, str, str, int, int, int, str]
@@ -212,31 +210,31 @@ class Simulation:
         self.log(now, CREATED, msg.id, msg.src, msg.dst, 0, NO_REASON)
         if msg.size > self.max_msg_size:
             self.max_msg_size = msg.size
-        self.ledger[msg.id] = counters = [1, 0, 0, 0]
-        node = self.nodes[msg.src]
-        if msg.size > node.buffer.capacity:
-            counters[1] += 1
-            self.log(now, DROPPED, msg.id, msg.src, NO_NODE, 0, REASON_OVERSIZE)
-            return
-        copy = routing.source_copy(self.cfg.router, msg)
-        accepted, evicted = node.buffer.insert(copy)
-        if not accepted:
-            counters[1] += 1
-            self.log(now, DROPPED, msg.id, msg.src, NO_NODE, 0, REASON_OVERFLOW)
-            return
-        for ev in evicted:
-            self._drop_evicted(node.id, ev, now)
-        self.holders[msg.id] = {msg.src}
-        self.expiry.append(msg)
-        self._arrival_offers(node, copy)
+        self.ledger[msg.id] = [1, 0, 0, 0]
+        if self._admit(self.nodes[msg.src],
+                       routing.source_copy(self.cfg.router, msg), now):
+            self.expiry.append(msg)
 
-    def _drop_evicted(self, node_id: int, copy: BufferedCopy, now: float) -> None:
-        self.ledger[copy.msg.id][1] += 1
-        held = self.holders.get(copy.msg.id)
-        if held is not None:
-            held.discard(node_id)
-        self.log(now, DROPPED, copy.msg.id, node_id, NO_NODE, copy.hops,
-                 REASON_OVERFLOW)
+    def _admit(self, node: NodeState, copy: BufferedCopy, now: float) -> bool:
+        """Store ``copy`` at ``node`` and offer it to ``node``'s contacts;
+        return whether it was stored.  Each copy evicted to make room, or
+        ``copy`` itself when it cannot fit, is dropped for buffer overflow."""
+        accepted, evicted = node.buffer.insert(copy)
+        for lost in (evicted if accepted else (copy,)):
+            # an evicted copy leaves the holders; a rejected one never joined
+            msg_id = lost.msg.id
+            self.ledger[msg_id][1] += 1
+            if accepted:
+                self.holders[msg_id].discard(node.id)
+            self.log(now, DROPPED, msg_id, node.id, NO_NODE, lost.hops,
+                     REASON_OVERFLOW)
+        if accepted:
+            self.holders.setdefault(copy.msg.id, set()).add(node.id)
+            contacts = self.contacts_of[node.id]
+            if contacts:
+                self._queue(node.id, routing.offer_for_message(
+                    self.cfg.router, (copy,), contacts.items()))
+        return accepted
 
     # --- phase 3: mobility -----------------------------------------------------
 
@@ -256,7 +254,7 @@ class Simulation:
             a, b, iface = key
             del self.contacts_of[a][key]
             del self.contacts_of[b][key]
-            self.pool.doom_contact(key, "contact-down")
+            self.pool.doom_contact(key, REASON_CONTACT_DOWN)
             self.log(now, CONTACT_DOWN, NO_MSG, a, b, 0, iface)
         for key in ups:
             self.active[key] = now
@@ -287,13 +285,6 @@ class Simulation:
         for me, peer in ((a, b), (b, a)):
             self._queue(me, routing.on_contact_up(router, self.nodes[me], key,
                                                   self.nodes[peer]))
-
-    def _arrival_offers(self, node: NodeState, copy: BufferedCopy) -> None:
-        """Queue ``copy`` toward every current contact the rule allows."""
-        contacts = self.contacts_of[node.id]
-        if contacts:
-            self._queue(node.id, routing.offer_for_message(
-                self.cfg.router, (copy,), contacts.items()))
 
     # --- phases 6+7: transfers ------------------------------------------------------
 
@@ -356,40 +347,21 @@ class Simulation:
         return started
 
     def _complete(self, tr, now: float) -> None:
+        msg_id = tr.msg.id
         sender = self.nodes[tr.sender]
-        receiver = self.nodes[tr.receiver]
-        msg = tr.msg
-        sender.buffer.pinned.discard(msg.id)
-        outcome = routing.on_transfer_complete(self.cfg.router, sender,
-                                               receiver, msg)
-        counters = self.ledger[msg.id]
-        if outcome.kind == "delivered":
-            self.log(now, DELIVERED, msg.id, tr.sender, tr.receiver,
-                     outcome.hops, NO_REASON)
-        elif outcome.kind == "duplicate":
-            self.log(now, DUPLICATE, msg.id, tr.sender, tr.receiver,
-                     outcome.hops, NO_REASON)
-        else:
-            self.log(now, RELAYED, msg.id, tr.sender, tr.receiver,
-                     outcome.hops, NO_REASON)
-        if outcome.sender_deleted:
+        sender.buffer.pinned.discard(msg_id)
+        kind, hops, copy, sender_deleted = routing.on_transfer_complete(
+            self.cfg.router, sender, self.nodes[tr.receiver], tr.msg)
+        self.log(now, kind, msg_id, tr.sender, tr.receiver, hops, NO_REASON)
+        counters = self.ledger[msg_id]
+        if sender_deleted:
             counters[2] += 1
-            held = self.holders.get(msg.id)
-            if held is not None:
-                held.discard(tr.sender)
-        if outcome.kind == "relayed":
+            self.holders[msg_id].discard(tr.sender)
+        if copy is not None:
             counters[0] += 1
-            if outcome.accepted:
-                self.holders[msg.id].add(tr.receiver)
-                for ev in outcome.evicted:
-                    self._drop_evicted(tr.receiver, ev, now)
-                self._arrival_offers(receiver, receiver.buffer.get(msg.id))
-            else:
-                counters[1] += 1
-                self.log(now, DROPPED, msg.id, tr.receiver, NO_NODE,
-                         outcome.hops, REASON_OVERFLOW)
-        elif outcome.kind == "relay_duplicate":
-            counters[3] += 1
+            self._admit(self.nodes[tr.receiver], copy, now)
+        elif kind == RELAYED:
+            counters[3] += 1     # a concurrent transfer got there first
 
     # --- audits -----------------------------------------------------------------
 

@@ -21,10 +21,6 @@ from __future__ import annotations
 from collections import defaultdict
 from math import ceil, inf, sqrt
 
-REASON_OVERFLOW = "buffer-overflow"
-REASON_TTL = "ttl-expiry"
-REASON_OVERSIZE = "oversize"
-
 
 class Message:
     """Immutable distress-bundle metadata shared by every copy."""
@@ -80,12 +76,10 @@ class Buffer:
         """Make room by evicting oldest-received unpinned copies, then append.
 
         Returns (accepted, evicted).  Rejected without evictions when the
-        message cannot fit even after evicting everything evictable, or when
-        it exceeds capacity outright.  Duplicate ids are a caller bug.
+        message cannot fit even after evicting everything evictable.
+        Duplicate ids are a caller bug.
         """
         size = copy.msg.size
-        if size > self.capacity:
-            return False, []
         assert copy.msg.id not in self.copies, f"duplicate insert {copy.msg.id}"
         need = size - (self.capacity - self.occupancy)
         evicted = []

@@ -6,8 +6,10 @@ Conventions (documented because they shift ratios by one):
   delivery transfer and duplicate arrivals at the destination.
 * ``overhead_ratio`` = (relayed - delivered) / delivered, reported as
   ``nan`` when nothing was delivered.
-* ``dropped`` counts every dropped copy (buffer overflow, TTL expiry and
-  oversize rejections), so it can exceed the number of created messages.
+* ``dropped`` counts every dropped copy (buffer overflow or TTL expiry),
+  so it can exceed the number of created messages.  ``dropped_oversize``
+  is always 0, because validation rejects a buffer smaller than the
+  largest message; the field stays so that readers of the summary keep it.
 * latency and hop averages cover first deliveries only.
 """
 
@@ -16,6 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import median
+
+# Event kinds: an event is (time, kind, msg_id, node_a, node_b, hops, reason).
+CREATED = "CREATED"
+RELAYED = "RELAYED"
+DELIVERED = "DELIVERED"
+DUPLICATE = "DUPLICATE"
+DROPPED = "DROPPED"
+ABORTED = "ABORTED"
+CONTACT_UP = "CONTACT_UP"
+CONTACT_DOWN = "CONTACT_DOWN"
+
+# The reason of a DROPPED or ABORTED event
+REASON_OVERFLOW = "buffer-overflow"
+REASON_TTL = "ttl-expiry"
+REASON_CONTACT_DOWN = "contact-down"
 
 # The metrics CSV, one row per column in file order: (CSV column,
 # MetricsSummary field, type).  The first three columns name the run and
@@ -76,28 +93,26 @@ def compute_metrics(log) -> MetricsSummary:
     latency_sum = 0.0
     hops_sum = 0
     for time, kind, msg_id, a, b, hops, reason in log:
-        if kind == "CREATED":
+        if kind == CREATED:
             s.created += 1
             created_at[msg_id] = time
-        elif kind == "RELAYED":
+        elif kind == RELAYED:
             s.relayed += 1
-        elif kind == "DELIVERED":
+        elif kind == DELIVERED:
             s.relayed += 1
             s.delivered += 1
             latency_sum += time - created_at[msg_id]
             hops_sum += hops
-        elif kind == "DUPLICATE":
+        elif kind == DUPLICATE:
             s.relayed += 1
             s.duplicates += 1
-        elif kind == "DROPPED":
+        elif kind == DROPPED:
             s.dropped_total += 1
-            if reason == "buffer-overflow":
+            if reason == REASON_OVERFLOW:
                 s.dropped_overflow += 1
-            elif reason == "ttl-expiry":
+            elif reason == REASON_TTL:
                 s.dropped_ttl += 1
-            elif reason == "oversize":
-                s.dropped_oversize += 1
-        elif kind == "ABORTED":
+        elif kind == ABORTED:
             s.aborted += 1
     s.delivery_probability = s.delivered / s.created if s.created else 0.0
     if s.delivered:

@@ -10,7 +10,9 @@ contacts an arriving copy may go to, and whether a queued offer still holds
 when it reaches the head of its queue.  Offers come out in buffer and
 contact order; the engine's queues send destination matches first, then
 the oldest message.  Expired copies never reach the rule: the engine
-purges them at the start of every tick.
+purges them at the start of every tick.  ``on_transfer_complete`` names
+the event a finished transfer makes and the copy its receiver should store;
+the engine stores it as it stores a newly created copy.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
@@ -22,6 +24,7 @@ import heapq
 from typing import NamedTuple
 
 from .netcore import BufferedCopy, Message
+from .reports import DELIVERED, DUPLICATE, RELAYED
 from .scenario import RouterConfig
 
 EPIDEMIC = "epidemic"
@@ -29,12 +32,11 @@ SPRAY_AND_WAIT = "spray-and-wait"
 
 
 class Outcome(NamedTuple):
-    """What happened when a transfer completed."""
+    """What a completed transfer produced."""
 
-    kind: str    # "delivered" | "duplicate" | "relayed" | "relay_duplicate"
+    kind: str                   # the event: DELIVERED, DUPLICATE or RELAYED
     hops: int
-    accepted: bool                 # relayed into the receiver buffer?
-    evicted: tuple[BufferedCopy, ...]
+    copy: BufferedCopy | None   # for the receiver to store; None if nothing new
     sender_deleted: bool
 
 
@@ -87,10 +89,11 @@ def split_copies(copies: int, binary: bool) -> tuple[int, int]:
 
 def on_transfer_complete(router: RouterConfig, sender, receiver,
                          msg: Message) -> Outcome:
-    """Apply delivery/relay semantics after net-core finishes a transfer.
+    """Decide what a transfer net-core just finished produced.
 
-    Mutates sender and receiver state: delivered sets, buffers and the
-    spray-and-wait copy ledger.  The caller logs events from the outcome.
+    Updates the receiver's delivered set and the sender's copy (its
+    spray-and-wait budget, or its removal by a spray-and-wait delivery).
+    Storing ``Outcome.copy`` at the receiver is the caller's job.
     """
     sender_copy = sender.buffer.get(msg.id)
     assert sender_copy is not None, f"sender lost {msg.id} mid-transfer"
@@ -99,29 +102,25 @@ def on_transfer_complete(router: RouterConfig, sender, receiver,
 
     if receiver.id == msg.dst:
         if msg.id in receiver.delivered:
-            kind = "duplicate"
+            kind = DUPLICATE
         else:
             receiver.delivered.add(msg.id)
-            kind = "delivered"
-        deleted = False
+            kind = DELIVERED
         if spray:
             sender.buffer.remove(msg.id)   # budget consumed by the delivery
-            deleted = True
-        return Outcome(kind, hops, False, (), deleted)
+        return Outcome(kind, hops, None, spray)
 
     if msg.id in receiver.buffer:
         # a concurrent transfer got there first; bytes were spent, the
         # receiver discards the late copy and the sender budget is untouched
-        return Outcome("relay_duplicate", hops, False, (), False)
+        return Outcome(RELAYED, hops, None, False)
 
     copies = None
     if spray:
         kept, given = split_copies(sender_copy.copies, router.binary_mode)
         sender_copy.copies = kept
         copies = given
-    accepted, evicted = receiver.buffer.insert(
-        BufferedCopy(msg, hops, copies))
-    return Outcome("relayed", hops, accepted, tuple(evicted), False)
+    return Outcome(RELAYED, hops, BufferedCopy(msg, hops, copies), False)
 
 
 # --- idealized-propagation oracle ------------------------------------------

@@ -215,10 +215,11 @@ def _parse_list(text: str, item_parser=str) -> tuple:
     return tuple(item_parser(p.strip()) for p in text.split(",") if p.strip())
 
 
-def _parse_seed(text: str) -> int:
+def parse_seed(text: str) -> int:
+    """A seed from the scenario file or the command line."""
     seed = int(text)
     if seed < 0:
-        raise ScenarioError("seed must be non-negative")
+        raise ScenarioError(f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -248,7 +249,7 @@ _KEYS = {
     "sim_duration": ("", "sim_duration", parse_duration, _fmt_num),
     "tick": ("", "tick", parse_duration, _fmt_num),
     "buffer_size": ("", "buffer_bytes", parse_size, str),
-    "seed": ("", "seed", _parse_seed, str),
+    "seed": ("", "seed", parse_seed, str),
     "ttl": ("traffic", "ttl", parse_duration, _fmt_num),
     "interval_range": ("traffic", "interval_range", *_pair(parse_duration, _fmt_num)),
     "size_range": ("traffic", "size_range", *_pair(parse_size, str)),

@@ -236,6 +236,38 @@ def test_sweep_unknown_protocol_is_usage_error(tiny_file):
                      "--protocols", "gossip", "--seeds", "1"]) == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--seed", "-1"]),
+    ("sweep", ["--seeds", "-1", "--buffers", "5M", "--protocols", "epidemic"]),
+    ("sweep", ["--seeds", "2,-3", "--buffers", "5M", "--protocols", "epidemic"]),
+], ids=["run", "sweep", "sweep-second"])
+def test_negative_seed_flags_are_usage_errors(tiny_file, tmp_path, capsys,
+                                              command, flags):
+    out = tmp_path / "out"
+    assert cli.main([command, tiny_file, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, values, named", [
+    ("--buffers", "5M,5000k", "5000000"),
+    ("--seeds", "1,1,2", "1"),
+    ("--protocols", "epidemic,spray-and-wait,epidemic", "epidemic"),
+])
+def test_sweep_repeated_axis_value_is_usage_error(tiny_file, tmp_path, capsys,
+                                                  flag, values, named):
+    axes = {"--buffers": "5M", "--protocols": "epidemic", "--seeds": "1"}
+    axes[flag] = values
+    out = tmp_path / "out"
+    argv = ["sweep", tiny_file, "--out", str(out)]
+    for key, value in axes.items():
+        argv += [key, value]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} repeats {named}\n"
+    assert not out.exists()
+
+
 def test_plot_missing_column_names_it(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("protocol,buffer_bytes\nepidemic,5\n")

@@ -262,6 +262,82 @@ interface.slow.range = 1
     assert list(sim.nodes[0].buffer.copies) == ["M2", "M3", "M1"]
 
 
+# --- one admission path ----------------------------------------------------------
+
+def admission_run(cfg, contacts, creations):
+    """A scripted run checked after every tick and audited for conservation
+    at the end; returns the simulation and its events without contacts."""
+    sim = ScriptedSimulation(cfg, 1, contacts, creations)
+    while sim.clock < cfg.sim_duration:
+        sim.tick()
+        check_state(sim)
+    events, _ = sim.run()
+    return sim, [e for e in events if e[1] not in ("CONTACT_UP", "CONTACT_DOWN")]
+
+
+def test_relay_evicting_oldest_copy_logs_relay_then_drop():
+    # node 1 holds M1 at two hops, and M1 is already delivered to node 0, so
+    # over the 0-1 contact only M2 moves; node 1 evicts M1 to store it
+    cfg = dataclasses.replace(script_config(nodes=4, duration=5.0),
+                              buffer_bytes=500_000)
+    sim, events = admission_run(cfg, contacts=[(0, 2, "instant", 0.0, 1.0),
+                                               (2, 3, "instant", 0.0, 1.0),
+                                               (1, 3, "instant", 1.0, 2.0),
+                                               (0, 1, "instant", 3.0, 4.0)],
+                                creations=[(0.0, 2, 0, 300_000),
+                                           (2.0, 0, 3, 300_000)])
+    assert events == [
+        (0.0, "CREATED", "M1", 2, 0, 0, "-"),
+        (0.0, "DELIVERED", "M1", 2, 0, 1, "-"),
+        (0.0, "RELAYED", "M1", 2, 3, 1, "-"),
+        (1.0, "RELAYED", "M1", 3, 1, 2, "-"),
+        (2.0, "CREATED", "M2", 0, 3, 0, "-"),
+        (3.0, "RELAYED", "M2", 0, 1, 1, "-"),
+        (3.0, "DROPPED", "M1", 1, -1, 2, "buffer-overflow"),
+    ]
+    assert sim.holders == {"M1": {2, 3}, "M2": {0, 1}}
+
+
+def test_relay_rejected_by_pinned_copies_logs_drop_and_keeps_the_split():
+    # node 1 is sending M2 to its destination while M1 arrives; M2 is
+    # pinned, so M1 cannot fit, and completions run in creation order
+    cfg = dataclasses.replace(script_config(nodes=4, duration=5.0),
+                              buffer_bytes=500_000,
+                              router=scenario.RouterConfig("spray-and-wait"))
+    sim, events = admission_run(cfg, contacts=[(0, 1, "instant", 1.0, 5.0),
+                                               (1, 2, "instant", 1.0, 5.0)],
+                                creations=[(0.0, 0, 3, 300_000),
+                                           (0.0, 1, 2, 300_000)])
+    assert events == [
+        (0.0, "CREATED", "M1", 0, 3, 0, "-"),
+        (0.0, "CREATED", "M2", 1, 2, 0, "-"),
+        (1.0, "RELAYED", "M1", 0, 1, 1, "-"),
+        (1.0, "DROPPED", "M1", 1, -1, 1, "buffer-overflow"),
+        (1.0, "DELIVERED", "M2", 1, 2, 1, "-"),
+    ]
+    assert sim.nodes[0].buffer.get("M1").copies == 5
+    assert sim.holders == {"M1": {0}, "M2": set()}
+
+
+def test_created_message_rejected_at_full_source_logs_drop():
+    # M1 takes three ticks to send at 100 kB/s and stays pinned meanwhile,
+    # so M2 cannot fit at its source
+    cfg = script_config(nodes=2, duration=5.0)
+    cfg = dataclasses.replace(cfg, buffer_bytes=500_000, interfaces={
+        "instant": dataclasses.replace(cfg.interfaces["instant"],
+                                       bandwidth=100_000.0)})
+    sim, events = admission_run(cfg, contacts=[(0, 1, "instant", 0.0, 5.0)],
+                                creations=[(0.0, 0, 1, 300_000),
+                                           (1.0, 0, 1, 300_000)])
+    assert events == [
+        (0.0, "CREATED", "M1", 0, 1, 0, "-"),
+        (1.0, "CREATED", "M2", 0, 1, 0, "-"),
+        (1.0, "DROPPED", "M2", 0, -1, 0, "buffer-overflow"),
+        (2.0, "DELIVERED", "M1", 0, 1, 1, "-"),
+    ]
+    assert "M2" not in sim.holders
+
+
 def test_created_count_bounds_one_hour(tiny_config):
     cfg = dataclasses.replace(tiny_config, sim_duration=3600.0)
     _, summary = engine.run(cfg, 9)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dtnsim.netcore import Buffer, BufferedCopy, Message
+from dtnsim.reports import DELIVERED, DUPLICATE, RELAYED
 from dtnsim.routing import (epidemic_oracle, offer_for_message, on_contact_up,
                             on_transfer_complete, source_copy, split_copies)
 from dtnsim.scenario import RouterConfig
@@ -165,17 +166,26 @@ def test_split_copies_rejects_wait_phase():
 
 # --- transfer completion -----------------------------------------------------
 
+def complete(router, sender, receiver, msg):
+    """``on_transfer_complete``, then the receiver stores the outcome's copy
+    as the engine does."""
+    out = on_transfer_complete(router, sender, receiver, msg)
+    if out.copy is not None:
+        receiver.buffer.insert(out.copy)
+    return out
+
+
 def test_first_arrival_at_destination_counts_hops_per_transfer():
     # src -> a -> b -> dst: three completed transfers, hop count 3
     m = mk(1, src=0, dst=3)
     n0, n1, n2, n3 = Node(0), Node(1), Node(2), Node(3)
     n0.hold(m, hops=0)
-    out = on_transfer_complete(EPIDEMIC, n0, n1, m)
-    assert (out.kind, out.hops) == ("relayed", 1)
-    out = on_transfer_complete(EPIDEMIC, n1, n2, m)
-    assert (out.kind, out.hops) == ("relayed", 2)
-    out = on_transfer_complete(EPIDEMIC, n2, n3, m)
-    assert (out.kind, out.hops) == ("delivered", 3)
+    out = complete(EPIDEMIC, n0, n1, m)
+    assert (out.kind, out.hops, out.copy.hops) == (RELAYED, 1, 1)
+    out = complete(EPIDEMIC, n1, n2, m)
+    assert (out.kind, out.hops, out.copy.hops) == (RELAYED, 2, 2)
+    out = complete(EPIDEMIC, n2, n3, m)
+    assert out == (DELIVERED, 3, None, False)
     assert "M1" in n3.delivered
     assert "M1" not in n3.buffer          # destination does not re-buffer
 
@@ -185,10 +195,9 @@ def test_second_arrival_at_destination_is_duplicate():
     a, b, dst = Node(1), Node(2), Node(3)
     a.hold(m, hops=0)
     b.hold(m, hops=4)
-    assert on_transfer_complete(EPIDEMIC, a, dst, m).kind == "delivered"
+    assert on_transfer_complete(EPIDEMIC, a, dst, m).kind == DELIVERED
     out = on_transfer_complete(EPIDEMIC, b, dst, m)
-    assert out.kind == "duplicate"
-    assert out.hops == 5
+    assert out == (DUPLICATE, 5, None, False)
     assert dst.delivered == {"M1"}
 
 
@@ -205,7 +214,7 @@ def test_spray_sender_consumes_copy_on_direct_delivery():
     a, dst = Node(1), Node(3)
     a.hold(m, copies=3)
     out = on_transfer_complete(SPRAY, a, dst, m)
-    assert out.kind == "delivered" and out.sender_deleted
+    assert out == (DELIVERED, 1, None, True)
     assert "M1" not in a.buffer
 
 
@@ -214,53 +223,31 @@ def test_spray_relay_splits_budget_binary():
     a, b = Node(1), Node(2)
     a.hold(m, copies=10)
     out = on_transfer_complete(SPRAY, a, b, m)
-    assert out.kind == "relayed" and out.accepted
+    assert out.kind == RELAYED and not out.sender_deleted
+    assert (out.copy.msg, out.copy.hops, out.copy.copies) == (m, 1, 5)
     assert a.buffer.get("M1").copies == 5
-    assert b.buffer.get("M1").copies == 5
+    assert "M1" not in b.buffer           # storing the copy is the caller's
 
 
 def test_spray_relay_splits_budget_source_mode():
     m = mk(1, src=0, dst=9)
     a, b = Node(1), Node(2)
     a.hold(m, copies=7)
-    on_transfer_complete(RouterConfig("spray-and-wait", 7, False), a, b, m)
+    out = on_transfer_complete(RouterConfig("spray-and-wait", 7, False), a, b, m)
     assert a.buffer.get("M1").copies == 6
-    assert b.buffer.get("M1").copies == 1
-
-
-def test_relay_into_full_buffer_still_relays_but_drops():
-    m = mk(1, size=300_000)
-    a = Node(1)
-    b = Node(2, capacity=400_000)
-    a.hold(m)
-    blocker = mk(2, size=200_000)
-    b.hold(blocker)
-    b.buffer.pinned.add("M2")          # nothing evictable
-    out = on_transfer_complete(EPIDEMIC, a, b, m)
-    assert out.kind == "relayed" and not out.accepted
-    assert "M1" not in b.buffer
-
-
-def test_relay_evictions_reported():
-    m = mk(1, size=300_000)
-    a, b = Node(1), Node(2, capacity=500_000)
-    a.hold(m)
-    old = mk(2, size=300_000)
-    b.hold(old)
-    out = on_transfer_complete(EPIDEMIC, a, b, m)
-    assert out.accepted
-    assert [c.msg.id for c in out.evicted] == ["M2"]
+    assert out.copy.copies == 1
 
 
 def test_concurrent_relay_duplicate_discarded():
     m = mk(1)
     a, b, r = Node(1), Node(2), Node(3)
-    a.hold(m, hops=0)
-    b.hold(m, hops=2)
-    assert on_transfer_complete(EPIDEMIC, a, r, m).kind == "relayed"
-    out = on_transfer_complete(EPIDEMIC, b, r, m)
-    assert out.kind == "relay_duplicate"
+    a.hold(m, hops=0, copies=4)
+    b.hold(m, hops=2, copies=4)
+    assert complete(SPRAY, a, r, m).kind == RELAYED
+    out = complete(SPRAY, b, r, m)
+    assert out == (RELAYED, 3, None, False)
     assert r.buffer.get("M1").hops == 1     # first copy kept
+    assert b.buffer.get("M1").copies == 4   # the late sender keeps its budget
 
 
 # --- oracle ----------------------------------------------------------------
