@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import engine, reports, scenario
 
@@ -37,7 +38,7 @@ def _read_scenario(path: str) -> str | None:
 def _write_events(events, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for time, kind, msg_id, a, b, hops, reason in events:
-            fh.write(f"{time:g}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
+            fh.write(f"{time:.15g}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
 
 
 def _print_summary(s: reports.MetricsSummary) -> None:
@@ -102,12 +103,17 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _record_worker(packed) -> engine.ContactTrace:
+    text, seed = packed
+    return engine.record_contacts(scenario.parse_scenario(text), seed)
+
+
 def _sweep_worker(packed) -> tuple[str, int, int, reports.MetricsSummary]:
-    text, protocol, buffer_bytes, seed = packed
+    text, protocol, buffer_bytes, seed, contacts = packed
     cfg = scenario.parse_scenario(text)
     cfg = scenario.expand_sweep(cfg, "router.protocol", [protocol])[0]
     cfg = scenario.expand_sweep(cfg, "buffer_bytes", [buffer_bytes])[0]
-    _, summary = engine.run(cfg, seed)
+    _, summary = engine.run(cfg, seed, contacts)
     return protocol, buffer_bytes, seed, summary
 
 
@@ -116,16 +122,22 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
                ) -> list[tuple[str, int, int, reports.MetricsSummary]]:
     """Cross-product execution, optionally in parallel; sorted results.
 
-    ``workers`` of None or 0 means one per processor.
+    Contacts depend on neither the protocol nor the buffer size, so each
+    seed's contacts are recorded once and every run of that seed replays
+    them.  ``workers`` of None or 0 means one per processor; with more
+    than one, a process pool takes the recordings, then the runs.
     """
-    jobs = [(config_text, p, b, s)
-            for p in protocols for b in buffers for s in seeds]
-    workers = max(1, min(workers or os.cpu_count() or 1, len(jobs)))
-    if workers == 1:
-        results = [_sweep_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+    runs = len(protocols) * len(buffers) * len(seeds)
+    workers = max(1, min(workers or os.cpu_count() or 1, runs))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        each = map if pool is None else pool.map
+        traces = each(_record_worker, [(config_text, s) for s in seeds])
+        # seed by seed, so that a serial sweep holds one trace at a time
+        jobs = ((config_text, p, b, seed, trace)
+                for seed, trace in zip(seeds, traces)
+                for p in protocols for b in buffers)
+        results = list(each(_sweep_worker, jobs))
     results.sort(key=lambda item: (item[0], item[1], item[2]))
     return results
 

@@ -30,6 +30,12 @@ against the rule again before its transfer starts.  Phase 1 leaves no
 expired copy behind, so offers need no expiry test.  All randomness
 comes from named streams derived from (seed, label), so mobility traces
 are identical across routing protocols.
+
+Phases 3-4 are one contact source, live or replayed.  Contacts depend on
+neither the router nor the buffer size, so a ``ContactTrace`` that
+``record_contacts`` takes of a live run replays exactly, skipping mobility
+and detection, in every run of the same scenario and seed whatever its
+router or buffer.  Both sources feed the same contact bookkeeping.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import hashlib
 import random
 from collections import defaultdict, deque
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import mobility, routing, traffic
 from .netcore import (Buffer, BufferedCopy, ContactDetector, Message,
@@ -54,6 +61,7 @@ Event = tuple[float, str, str, int, int, int, str]
 NO_MSG = "-"
 NO_REASON = "-"
 NO_NODE = -1
+NO_CHANGE: tuple = ((), ())
 
 
 class SimulationError(Exception):
@@ -66,57 +74,70 @@ def rng_stream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-class NodeState:
-    __slots__ = ("id", "group", "interfaces", "movement", "buffer",
-                 "delivered", "rng")
+class ContactTrace(NamedTuple):
+    """The contact changes of one run, recorded once and replayed in others.
 
-    def __init__(self, node_id: int, group, interfaces: tuple[str, ...],
-                 movement, buffer: Buffer, rng: random.Random):
+    ``changes`` maps a tick index to that tick's ``(ups, downs)``, the
+    sorted ``(a, b, interface)`` keys the detector returned, as tuples, and
+    holds only the ticks where a contact came up or went down.  ``tick``,
+    ``sim_duration`` and ``nodes`` are those of the recorded run; a run that
+    differs in any of them refuses the trace.
+    """
+
+    tick: float
+    sim_duration: float
+    nodes: int
+    changes: dict[int, tuple[tuple, tuple]]
+
+
+class NodeState:
+    __slots__ = ("id", "group", "interfaces", "buffer", "delivered")
+
+    def __init__(self, node_id: int, group, buffer: Buffer):
         self.id = node_id
         self.group = group
-        self.interfaces = interfaces
-        self.movement = movement
+        self.interfaces: tuple[str, ...] = tuple(group.interfaces)
         self.buffer = buffer
         self.delivered: set[str] = set()
-        self.rng = rng
 
 
 class Simulation:
-    """One run: all state, the tick loop, and end-of-run audits."""
+    """One run: all state, the tick loop, and end-of-run audits.
 
-    def __init__(self, cfg: ScenarioConfig, seed: int):
+    A run given ``contacts`` replays them, and has no ``graph``,
+    ``positions`` or ``detector``.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, seed: int,
+                 contacts: ContactTrace | None = None):
         findings = validate(cfg)
         if findings:
             raise SimulationError("invalid scenario: " + "; ".join(findings))
         self.cfg = cfg
         self.seed = seed
 
-        self.graph = load_map(cfg.map_source, seed)
-        self.nodes: list[NodeState] = []
-        node_id = 0
-        for group in cfg.groups:
-            for member in range(group.count):
-                rng = rng_stream(seed, f"mobility/{node_id}")
-                move = mobility.init_placement(group, self.graph, rng, member)
-                self.nodes.append(NodeState(node_id, group, tuple(group.interfaces),
-                                            move, Buffer(cfg.buffer_bytes), rng))
-                node_id += 1
-        self.positions: list[tuple[float, float]] = [
-            n.movement.position for n in self.nodes]
-        self.mobile = [n for n in self.nodes
-                       if n.group.movement != "stationary"]
+        self.nodes: list[NodeState] = [
+            NodeState(node_id, group, Buffer(cfg.buffer_bytes))
+            for node_id, group in enumerate(
+                g for g in cfg.groups for _ in range(g.count))]
+        self.replay: dict[int, tuple[tuple, tuple]] | None = None
+        if contacts is None:
+            self._start_mobility()
+        else:
+            recorded = contacts.tick, contacts.sim_duration, contacts.nodes
+            wanted = cfg.tick, cfg.sim_duration, len(self.nodes)
+            if recorded != wanted:
+                raise SimulationError(
+                    "contact trace recorded with tick {:g} s, sim_duration {:g} s "
+                    "and {} nodes; this run has tick {:g} s, sim_duration {:g} s "
+                    "and {} nodes".format(*recorded, *wanted))
+            self.replay = contacts.changes
 
         self.sources = sorted(n.id for n in self.nodes
                               if "message_source" in n.group.role_flags)
         self.destinations = sorted(n.id for n in self.nodes
                                    if "message_destination" in n.group.role_flags)
 
-        self.detector = ContactDetector(
-            [n.interfaces for n in self.nodes],
-            {name: ic.range for name, ic in cfg.interfaces.items()},
-            # validation holds stationary groups at speed 0,0
-            [n.group.speed_range[1] for n in self.nodes],
-            cfg.tick)
         self.bandwidth = {name: ic.bandwidth for name, ic in cfg.interfaces.items()}
 
         self.tick_index = 0
@@ -143,6 +164,30 @@ class Simulation:
         self.max_msg_size = 0
         self.refused = 0
 
+    def _start_mobility(self) -> None:
+        """Live contacts: the map, every node's placement and the detector."""
+        cfg = self.cfg
+        seed = self.seed
+        self.graph = load_map(cfg.map_source, seed)
+        self.positions: list[tuple[float, float]] = []
+        # (node id, movement state, group, rng) of every node that moves
+        self.mobile: list[tuple] = []
+        node_id = 0
+        for group in cfg.groups:
+            for member in range(group.count):
+                rng = rng_stream(seed, f"mobility/{node_id}")
+                move = mobility.init_placement(group, self.graph, rng, member)
+                self.positions.append(move.position)
+                if group.movement != "stationary":
+                    self.mobile.append((node_id, move, group, rng))
+                node_id += 1
+        self.detector = ContactDetector(
+            [n.interfaces for n in self.nodes],
+            {name: ic.range for name, ic in cfg.interfaces.items()},
+            # validation holds stationary groups at speed 0,0
+            [n.group.speed_range[1] for n in self.nodes],
+            cfg.tick)
+
     # --- clock --------------------------------------------------------------
 
     @property
@@ -168,8 +213,11 @@ class Simulation:
         dt = self.cfg.tick
         self._purge(now)
         self._create_due(now)
-        self._step_mobility(now, dt)
-        ups = self._detect_contacts(now)
+        if self.replay is None:
+            ups, downs = self._live_contacts(now, dt)
+        else:
+            ups, downs = self.replay.get(self.tick_index, NO_CHANGE)
+        self._apply_contacts(now, ups, downs)
         for key in ups:
             self._contact_offers(key)
         self._run_transfers(now)
@@ -236,19 +284,21 @@ class Simulation:
                     self.cfg.router, (copy,), contacts.items()))
         return accepted
 
-    # --- phase 3: mobility -----------------------------------------------------
+    # --- phases 3+4: contacts ----------------------------------------------------
 
-    def _step_mobility(self, now: float, dt: float) -> None:
+    def _live_contacts(self, now: float, dt: float):
+        """This tick's (ups, downs), computed: every mobile node moves in
+        node-id order, then the detector compares positions with ``active``."""
         graph = self.graph
         positions = self.positions
-        for node in self.mobile:
-            mobility.step(node.movement, now, dt, graph, node.group, node.rng)
-            positions[node.id] = node.movement.position
+        for node_id, move, group, rng in self.mobile:
+            mobility.step(move, now, dt, graph, group, rng)
+            positions[node_id] = move.position
+        return self.detector.detect(positions, self.active)
 
-    # --- phase 4: contacts -------------------------------------------------------
-
-    def _detect_contacts(self, now: float) -> list[tuple[int, int, str]]:
-        ups, downs = self.detector.detect(self.positions, self.active)
+    def _apply_contacts(self, now: float, ups, downs) -> None:
+        """Contact bookkeeping for either source: the contact sets, aborts
+        of transfers over lost contacts, and the contact events."""
         for key in downs:
             del self.active[key]
             a, b, iface = key
@@ -262,7 +312,6 @@ class Simulation:
             self.contacts_of[a][key] = self.nodes[b]
             self.contacts_of[b][key] = self.nodes[a]
             self.log(now, CONTACT_UP, NO_MSG, a, b, 0, iface)
-        return ups
 
     # --- phase 5: offers ---------------------------------------------------------
 
@@ -397,10 +446,29 @@ def load_map(spec: MapSpec, seed: int) -> MapGraph:
         raise SimulationError(f"bad {what}: {exc}") from exc
 
 
-def run(cfg: ScenarioConfig, seed: int) -> tuple[list[Event], MetricsSummary]:
-    """Validate, simulate and reduce one scenario run.
-
-    Bit-identical (EventLog, MetricsSummary) for identical (cfg, seed).
-    """
+def record_contacts(cfg: ScenarioConfig, seed: int) -> ContactTrace:
+    """The contacts of the live run of (cfg, seed), from mobility and
+    detection alone; the trace replays exactly in any run of (cfg, seed)
+    whose router or buffer differs."""
     sim = Simulation(cfg, seed)
-    return sim.run()
+    changes: dict[int, tuple[tuple, tuple]] = {}
+    while sim.clock < cfg.sim_duration:
+        now = sim.clock
+        ups, downs = sim._live_contacts(now, cfg.tick)
+        if ups or downs:
+            # tuples take less memory than lists, and every empty one is ()
+            changes[sim.tick_index] = (tuple(ups), tuple(downs))
+            sim._apply_contacts(now, ups, downs)
+        sim.tick_index += 1
+    return ContactTrace(cfg.tick, cfg.sim_duration, len(sim.nodes), changes)
+
+
+def run(cfg: ScenarioConfig, seed: int, contacts: ContactTrace | None = None,
+        ) -> tuple[list[Event], MetricsSummary]:
+    """Validate, simulate and reduce one scenario run, live or replaying
+    ``contacts``.
+
+    Bit-identical (EventLog, MetricsSummary) for identical (cfg, seed),
+    live or replayed.
+    """
+    return Simulation(cfg, seed, contacts).run()

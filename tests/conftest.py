@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import defaultdict, deque
 
 import pytest
 
 from dtnsim import scenario
-from dtnsim.engine import Simulation
+from dtnsim.engine import ContactTrace, Simulation
 from dtnsim.netcore import Message
 
 # desk-scale variant of the stadium scenario: 30 nodes, 2 h
@@ -98,37 +99,58 @@ class BruteForceContacts:
         return up, down
 
 
-class ScriptedContacts:
-    """Stands in for ``sim.detector``: contacts follow a fixed schedule.
+def first_tick_at(t: float, tick: float) -> int:
+    """The first tick index whose clock, ``index * tick``, is at or after ``t``."""
+    index = max(0, math.ceil(t / tick))
+    while index > 0 and (index - 1) * tick >= t:
+        index -= 1
+    while index * tick < t:
+        index += 1
+    return index
+
+
+def scripted_trace(cfg, contacts) -> ContactTrace:
+    """A contact trace following a fixed schedule.
 
     contacts: (a, b, interface, up_from, down_at), active at every tick t
-    with up_from <= t < down_at.
+    with up_from <= t < down_at; entries of one (pair, interface) may
+    overlap.
     """
-
-    def __init__(self, sim: Simulation, contacts):
-        self.sim = sim
-        self.contacts = [((a, b, iface) if a < b else (b, a, iface), up, down)
-                         for a, b, iface, up, down in contacts]
-
-    def detect(self, positions, previous):
-        now = self.sim.clock
-        current = {key for key, up, down in self.contacts if up <= now < down}
-        ups = sorted(k for k in current if k not in previous)
-        downs = sorted(k for k in previous if k not in current)
-        return ups, downs
+    ticks = first_tick_at(cfg.sim_duration, cfg.tick)
+    # per contact key: tick index -> change in the number of entries covering it
+    steps: dict[tuple[int, int, str], dict[int, int]] = defaultdict(
+        lambda: defaultdict(int))
+    for a, b, iface, up, down in contacts:
+        first, last = first_tick_at(up, cfg.tick), first_tick_at(down, cfg.tick)
+        if first < min(last, ticks):
+            key = (a, b, iface) if a < b else (b, a, iface)
+            steps[key][first] += 1
+            steps[key][last] -= 1
+    changes: dict[int, tuple[list, list]] = {}
+    for key, deltas in steps.items():
+        covered = 0
+        for index in sorted(deltas):
+            was_up = covered > 0
+            covered += deltas[index]
+            if index < ticks and was_up != (covered > 0):
+                ups, downs = changes.setdefault(index, ([], []))
+                (downs if was_up else ups).append(key)
+    return ContactTrace(cfg.tick, cfg.sim_duration, sum(g.count for g in cfg.groups),
+                        {index: (tuple(sorted(ups)), tuple(sorted(downs)))
+                         for index, (ups, downs) in changes.items()})
 
 
 class ScriptedSimulation(Simulation):
     """A Simulation whose contacts and creations come from fixed schedules
-    instead of mobility and the traffic process.
+    instead of mobility and the traffic process: the contacts are replayed
+    from ``scripted_trace``.
 
     creations: (time, src, dst, size), created on the first tick at or
     after ``time`` with the scenario's ttl.
     """
 
     def __init__(self, cfg, seed, contacts=(), creations=()):
-        super().__init__(cfg, seed)
-        self.detector = ScriptedContacts(self, contacts)
+        super().__init__(cfg, seed, scripted_trace(cfg, contacts))
         self.creations = deque(sorted(creations))
 
     def _create_due(self, now):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dtnsim import cli, scenario
+from dtnsim import cli, engine, scenario
 
 DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
 
@@ -180,6 +180,19 @@ def test_run_deterministic_outputs(tiny_file, tmp_path):
     assert (out1 / "events.tsv").read_bytes() == (out2 / "events.tsv").read_bytes()
 
 
+def test_events_file_keeps_every_tick_time_exact(tmp_path):
+    # a 30 h run of 0.5 s ticks reaches these times; six significant
+    # digits wrote 100000.5 as 100000 and 1000000 as 1e+06
+    times = [100000.0, 100000.5, 107999.5, 1000000.0]
+    path = tmp_path / "events.tsv"
+    cli._write_events([(t, "CONTACT_UP", "-", 0, 1, 0, "wifi") for t in times],
+                      str(path))
+    lines = path.read_text().splitlines()
+    assert [line.split("\t")[0] for line in lines] == [
+        "100000", "100000.5", "107999.5", "1000000"]
+    assert [float(line.split("\t")[0]) for line in lines] == times
+
+
 def test_run_invalid_config_exit1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY + "buffer_size = 200k\n")
@@ -214,6 +227,20 @@ def test_sweep_then_plot_reproduces_identical_svgs(tiny_file, tmp_path,
                    "hopcount_avg", "dropped"):
         assert ((out / f"{metric}.svg").read_bytes()
                 == (replot / f"{metric}.svg").read_bytes())
+
+
+def test_sweep_rows_equal_live_runs_serial_and_parallel():
+    protocols, buffers, seeds = ["epidemic", "spray-and-wait"], [300_000, 5_000_000], [3, 4]
+    serial = cli.sweep_runs(TINY, protocols, buffers, seeds, workers=1)
+    assert cli.sweep_runs(TINY, protocols, buffers, seeds, workers=2) == serial
+    base = scenario.parse_scenario(TINY)
+    live = []
+    for protocol in protocols:
+        for buffer in buffers:
+            cfg = scenario.expand_sweep(base, "router.protocol", [protocol])[0]
+            cfg = scenario.expand_sweep(cfg, "buffer_bytes", [buffer])[0]
+            live += [(protocol, buffer, seed, engine.run(cfg, seed)[1]) for seed in seeds]
+    assert serial == live
 
 
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])

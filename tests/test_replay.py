@@ -1,0 +1,92 @@
+"""Contact replay against live runs.
+
+A run fed ``engine.record_contacts(cfg, seed)`` must give the live run's
+event log and summary byte for byte, whatever its protocol and buffer;
+the trace is recorded once per seed from the scenario file as it stands,
+as ``dtnsim sweep`` does.  A trace recorded for another tick length,
+duration or node count is refused.
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from dtnsim import engine, mobility, netcore, scenario
+from dtnsim.engine import Simulation, SimulationError
+
+from conftest import desk_config
+
+DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
+SEEDS = (1, 2)
+
+
+def log_digest(events) -> str:
+    h = hashlib.sha256()
+    for event in events:
+        h.update(repr(event).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def desk():
+    return scenario.parse_scenario(DESK_CFG.read_text())
+
+
+@pytest.fixture(scope="module")
+def traces(desk):
+    return {seed: engine.record_contacts(desk, seed) for seed in SEEDS}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("buffer", ["300k", "5M", "20M"])
+@pytest.mark.parametrize("protocol", sorted(scenario.PROTOCOLS))
+def test_replay_matches_live(desk, traces, protocol, buffer, seed):
+    cfg = scenario.expand_sweep(desk, "router.protocol", [protocol])[0]
+    cfg = scenario.expand_sweep(cfg, "buffer_bytes", [scenario.parse_size(buffer)])[0]
+    live_events, live_summary = engine.run(cfg, seed)
+    events, summary = engine.run(cfg, seed, traces[seed])
+    assert log_digest(events) == log_digest(live_events)
+    assert summary == live_summary
+
+
+def test_trace_holds_only_changing_ticks_in_detector_order(traces):
+    for trace in traces.values():
+        assert trace.changes
+        for ups, downs in trace.changes.values():
+            assert ups or downs
+            assert list(ups) == sorted(ups) and list(downs) == sorted(downs)
+
+
+def test_replay_runs_no_mobility_or_detection(monkeypatch):
+    cfg = desk_config("spray-and-wait", sim_duration=300)
+    trace = engine.record_contacts(cfg, 1)
+    live = engine.run(cfg, 1)
+
+    def forbidden(*args):
+        raise AssertionError("a replayed run moved a node or detected contacts")
+
+    monkeypatch.setattr(mobility, "step", forbidden)
+    monkeypatch.setattr(netcore.ContactDetector, "detect", forbidden)
+    assert engine.run(cfg, 1, trace) == live
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"sim_duration": 240.0}, "sim_duration 300 s"),
+    ({"sim_duration": 600.0}, "sim_duration 300 s"),
+    ({"tick": 2.0}, "tick 1 s"),
+])
+def test_trace_from_another_duration_or_tick_is_refused(change, named):
+    cfg = desk_config(sim_duration=300)
+    trace = engine.record_contacts(cfg, 1)
+    with pytest.raises(SimulationError, match=f"contact trace recorded with .*{named}"):
+        Simulation(dataclasses.replace(cfg, **change), 1, trace)
+
+
+def test_trace_from_another_node_count_is_refused():
+    cfg = desk_config(sim_duration=300)
+    trace = engine.record_contacts(cfg, 1)
+    fewer = dataclasses.replace(cfg, groups=cfg.groups[:-1])
+    with pytest.raises(SimulationError, match="30 nodes; this run has .* 28 nodes"):
+        Simulation(fewer, 1, trace)
