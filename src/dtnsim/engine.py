@@ -31,11 +31,11 @@ expired copy behind, so offers need no expiry test.  All randomness
 comes from named streams derived from (seed, label), so mobility traces
 are identical across routing protocols.
 
-Phases 3-4 are one contact source, live or replayed.  Contacts depend on
-neither the router nor the buffer size, so a ``ContactTrace`` that
-``record_contacts`` takes of a live run replays exactly, skipping mobility
-and detection, in every run of the same scenario and seed whatever its
-router or buffer.  Both sources feed the same contact bookkeeping.
+Phases 3-4 are one call, ``contacts.at(tick_index) -> (ups, downs)``, to
+``LiveContacts``, which moves the nodes and detects, or to a
+``ContactTrace`` that ``record_contacts`` took from a ``LiveContacts``
+alone.  Contacts depend on neither the router nor the buffer size, so a
+trace replays exactly in every run of the same scenario and seed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ Event = tuple[float, str, str, int, int, int, str]
 NO_MSG = "-"
 NO_REASON = "-"
 NO_NODE = -1
-NO_CHANGE: tuple = ((), ())
 
 
 class SimulationError(Exception):
@@ -89,6 +88,43 @@ class ContactTrace(NamedTuple):
     nodes: int
     changes: dict[int, tuple[tuple, tuple]]
 
+    def at(self, tick_index: int) -> tuple[tuple, tuple]:
+        return self.changes.get(tick_index, ((), ()))
+
+
+class LiveContacts:
+    """The contacts of (cfg, seed) from the map, the nodes' movement and
+    the contact detector; ``at`` takes ticks 0, 1, 2, ... in turn."""
+
+    def __init__(self, cfg: ScenarioConfig, seed: int):
+        self.tick = cfg.tick
+        self.graph = load_map(cfg.map_source, seed)
+        self.positions: list[tuple[float, float]] = []
+        # (node id, movement state, group, rng) of every node that moves
+        self.mobile: list[tuple] = []
+        members = [(group, member) for group in cfg.groups
+                   for member in range(group.count)]
+        for node_id, (group, member) in enumerate(members):
+            rng = rng_stream(seed, f"mobility/{node_id}")
+            move = mobility.init_placement(group, self.graph, rng, member)
+            self.positions.append(move.position)
+            if group.movement != "stationary":
+                self.mobile.append((node_id, move, group, rng))
+        self.detector = ContactDetector(
+            [tuple(group.interfaces) for group, _ in members],
+            {name: ic.range for name, ic in cfg.interfaces.items()},
+            # validation holds stationary groups at speed 0,0
+            [group.speed_range[1] for group, _ in members], cfg.tick)
+
+    def at(self, tick_index: int):
+        """This tick's (ups, downs): mobile nodes move in id order, then detect."""
+        graph, positions, dt = self.graph, self.positions, self.tick
+        now = tick_index * dt
+        for node_id, move, group, rng in self.mobile:
+            mobility.step(move, now, dt, graph, group, rng)
+            positions[node_id] = move.position
+        return self.detector.detect(positions)
+
 
 class NodeState:
     __slots__ = ("id", "group", "interfaces", "buffer", "delivered")
@@ -104,8 +140,8 @@ class NodeState:
 class Simulation:
     """One run: all state, the tick loop, and end-of-run audits.
 
-    A run given ``contacts`` replays them, and has no ``graph``,
-    ``positions`` or ``detector``.
+    Contacts come from ``contacts``, a trace to replay, or else live from
+    (cfg, seed); a live run shows its node positions as ``positions``.
     """
 
     def __init__(self, cfg: ScenarioConfig, seed: int,
@@ -114,15 +150,14 @@ class Simulation:
         if findings:
             raise SimulationError("invalid scenario: " + "; ".join(findings))
         self.cfg = cfg
-        self.seed = seed
 
         self.nodes: list[NodeState] = [
             NodeState(node_id, group, Buffer(cfg.buffer_bytes))
             for node_id, group in enumerate(
                 g for g in cfg.groups for _ in range(g.count))]
-        self.replay: dict[int, tuple[tuple, tuple]] | None = None
         if contacts is None:
-            self._start_mobility()
+            contacts = LiveContacts(cfg, seed)
+            self.positions = contacts.positions
         else:
             recorded = contacts.tick, contacts.sim_duration, contacts.nodes
             wanted = cfg.tick, cfg.sim_duration, len(self.nodes)
@@ -131,7 +166,7 @@ class Simulation:
                     "contact trace recorded with tick {:g} s, sim_duration {:g} s "
                     "and {} nodes; this run has tick {:g} s, sim_duration {:g} s "
                     "and {} nodes".format(*recorded, *wanted))
-            self.replay = contacts.changes
+        self.contacts: LiveContacts | ContactTrace = contacts
 
         self.sources = sorted(n.id for n in self.nodes
                               if "message_source" in n.group.role_flags)
@@ -164,30 +199,6 @@ class Simulation:
         self.max_msg_size = 0
         self.refused = 0
 
-    def _start_mobility(self) -> None:
-        """Live contacts: the map, every node's placement and the detector."""
-        cfg = self.cfg
-        seed = self.seed
-        self.graph = load_map(cfg.map_source, seed)
-        self.positions: list[tuple[float, float]] = []
-        # (node id, movement state, group, rng) of every node that moves
-        self.mobile: list[tuple] = []
-        node_id = 0
-        for group in cfg.groups:
-            for member in range(group.count):
-                rng = rng_stream(seed, f"mobility/{node_id}")
-                move = mobility.init_placement(group, self.graph, rng, member)
-                self.positions.append(move.position)
-                if group.movement != "stationary":
-                    self.mobile.append((node_id, move, group, rng))
-                node_id += 1
-        self.detector = ContactDetector(
-            [n.interfaces for n in self.nodes],
-            {name: ic.range for name, ic in cfg.interfaces.items()},
-            # validation holds stationary groups at speed 0,0
-            [n.group.speed_range[1] for n in self.nodes],
-            cfg.tick)
-
     # --- clock --------------------------------------------------------------
 
     @property
@@ -210,13 +221,9 @@ class Simulation:
 
     def tick(self) -> None:
         now = self.clock
-        dt = self.cfg.tick
         self._purge(now)
         self._create_due(now)
-        if self.replay is None:
-            ups, downs = self._live_contacts(now, dt)
-        else:
-            ups, downs = self.replay.get(self.tick_index, NO_CHANGE)
+        ups, downs = self.contacts.at(self.tick_index)
         self._apply_contacts(now, ups, downs)
         for key in ups:
             self._contact_offers(key)
@@ -286,19 +293,9 @@ class Simulation:
 
     # --- phases 3+4: contacts ----------------------------------------------------
 
-    def _live_contacts(self, now: float, dt: float):
-        """This tick's (ups, downs), computed: every mobile node moves in
-        node-id order, then the detector compares positions with ``active``."""
-        graph = self.graph
-        positions = self.positions
-        for node_id, move, group, rng in self.mobile:
-            mobility.step(move, now, dt, graph, group, rng)
-            positions[node_id] = move.position
-        return self.detector.detect(positions, self.active)
-
     def _apply_contacts(self, now: float, ups, downs) -> None:
-        """Contact bookkeeping for either source: the contact sets, aborts
-        of transfers over lost contacts, and the contact events."""
+        """Contact bookkeeping: the contact sets, aborts of transfers over
+        lost contacts, and the contact events."""
         for key in downs:
             del self.active[key]
             a, b, iface = key
@@ -447,20 +444,22 @@ def load_map(spec: MapSpec, seed: int) -> MapGraph:
 
 
 def record_contacts(cfg: ScenarioConfig, seed: int) -> ContactTrace:
-    """The contacts of the live run of (cfg, seed), from mobility and
-    detection alone; the trace replays exactly in any run of (cfg, seed)
-    whose router or buffer differs."""
-    sim = Simulation(cfg, seed)
+    """The contacts of the live run of (cfg, seed), from a ``LiveContacts``
+    alone; the trace replays exactly in any run of (cfg, seed) whose router
+    or buffer differs."""
+    findings = validate(cfg)
+    if findings:
+        raise SimulationError("invalid scenario: " + "; ".join(findings))
+    live = LiveContacts(cfg, seed)
     changes: dict[int, tuple[tuple, tuple]] = {}
-    while sim.clock < cfg.sim_duration:
-        now = sim.clock
-        ups, downs = sim._live_contacts(now, cfg.tick)
+    tick_index = 0
+    while tick_index * cfg.tick < cfg.sim_duration:
+        ups, downs = live.at(tick_index)
         if ups or downs:
             # tuples take less memory than lists, and every empty one is ()
-            changes[sim.tick_index] = (tuple(ups), tuple(downs))
-            sim._apply_contacts(now, ups, downs)
-        sim.tick_index += 1
-    return ContactTrace(cfg.tick, cfg.sim_duration, len(sim.nodes), changes)
+            changes[tick_index] = (tuple(ups), tuple(downs))
+        tick_index += 1
+    return ContactTrace(cfg.tick, cfg.sim_duration, len(live.positions), changes)
 
 
 def run(cfg: ScenarioConfig, seed: int, contacts: ContactTrace | None = None,

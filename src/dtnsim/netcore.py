@@ -122,7 +122,8 @@ class ContactDetector:
     only on the first tick at which its range state could have changed.
 
     ``node_speeds`` are per-node speed bounds (m/s) and ``tick`` the tick
-    length (s); each ``detect`` call is one tick.
+    length (s); each ``detect`` call is one tick and updates ``active``,
+    the set of contact keys in range.
     """
 
     def __init__(self, node_interfaces: list[tuple[str, ...]],
@@ -143,20 +144,18 @@ class ContactDetector:
         self.calendar: defaultdict[int, list] = defaultdict(list)
         self.calendar[0] = entries
         self.pairs: list = []       # entries examined by the latest call
+        self.active: set[tuple[int, int, str]] = set()
 
     def detect(self, positions: list[tuple[float, float]],
-               previous: dict[tuple[int, int, str], float],
                ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int, str]]]:
-        """Compare the due entries against the previous contact set.
+        """Compare the due entries against the contact set and update it.
 
         Returns (up, down): sorted keys (a, b, interface) with a < b that
-        newly appeared or vanished this tick.  ``previous`` must be the
-        contact set this detector's earlier calls produced; it is not
-        modified.
+        newly appeared or vanished this tick.
         """
         tick = self.tick_index
         self.tick_index = tick + 1
-        calendar = self.calendar
+        active, calendar = self.active, self.calendar
         due = self.pairs = calendar.pop(tick, [])
         up = []
         down = []
@@ -168,9 +167,11 @@ class ContactDetector:
             dy = yi - yj
             d2 = dx * dx + dy * dy
             if d2 <= r2:
-                if key not in previous:
+                if key not in active:
+                    active.add(key)
                     up.append(key)
-            elif key in previous:
+            elif key in active:
+                active.remove(key)
                 down.append(key)
             if not step:
                 continue    # two stationary nodes: the state is final

@@ -24,6 +24,12 @@ SWEEPABLE_AXES = ("buffer_bytes", "router.protocol")
 # longer run is a typo in sim_duration or tick, not an experiment.
 MAX_TICKS = 10**8
 
+# The paper's run creates at most 1,440 messages (12 h, at least 30 s
+# apart).  Every message is logged and may be copied to every node, so more
+# than 10^6 (sim_duration over the smaller interval_range value) is a typo,
+# not an experiment.
+MAX_MESSAGES = 10**6
+
 # The paper's stadium has 85 nodes and 8 exits.  Contact detection keeps an
 # entry per node pair, so memory grows with the square of the node count
 # (about 150 MB to build a 1,000-node stadium run); the synthetic map grows
@@ -106,9 +112,6 @@ class ScenarioConfig:
             if g.group_id == group_id:
                 return g
         raise KeyError(group_id)
-
-    def total_nodes(self) -> int:
-        return sum(g.count for g in self.groups)
 
 
 def default_interfaces() -> dict[str, InterfaceConfig]:
@@ -375,6 +378,7 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Check every invariant; returns one finding string per violation."""
     findings: list[str] = []
+    min_interval = cfg.traffic.interval_range[0]
     if cfg.sim_duration <= 0:
         findings.append("sim_duration: must be > 0")
     if cfg.tick <= 0:
@@ -384,6 +388,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     elif cfg.sim_duration / cfg.tick > MAX_TICKS:
         findings.append(f"sim_duration: {cfg.sim_duration / cfg.tick:.3g} ticks "
                         f"exceed the limit of {MAX_TICKS:.0e} ticks")
+    elif cfg.sim_duration > MAX_MESSAGES * min_interval > 0:
+        findings.append(f"interval_range: up to {cfg.sim_duration / min_interval:.3g}"
+                        f" messages exceed the limit of {MAX_MESSAGES:.0e}")
 
     if cfg.buffer_bytes < cfg.traffic.size_range[1]:
         findings.append(

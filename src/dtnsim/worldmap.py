@@ -137,15 +137,6 @@ def parse_map(text: str) -> MapGraph:
     return build_graph(vertices, edges)
 
 
-def serialize_map(g: MapGraph) -> str:
-    """One LINESTRING per edge; parse_map round-trips the edge set."""
-    lines = []
-    for i, j in g.edges:
-        (x1, y1), (x2, y2) = g.vertices[i], g.vertices[j]
-        lines.append(f"LINESTRING ({x1!r} {y1!r}, {x2!r} {y2!r})")
-    return "\n".join(lines) + "\n"
-
-
 # --- queries ----------------------------------------------------------------
 
 def shortest_path(g: MapGraph, src: int, dst: int) -> Path:

@@ -80,8 +80,9 @@ class BruteForceContacts:
                 entries = tuple((name, interface_ranges[name] ** 2) for name in shared)
                 max_r2 = max(r2 for _, r2 in entries)
                 self.pairs.append((i, j, entries, max_r2))
+        self.active = set()
 
-    def detect(self, positions, previous):
+    def detect(self, positions):
         current = set()
         for i, j, entries, max_r2 in self.pairs:
             xi, yi = positions[i]
@@ -94,8 +95,9 @@ class BruteForceContacts:
             for name, r2 in entries:
                 if d2 <= r2:
                     current.add((i, j, name))
-        up = sorted(k for k in current if k not in previous)
-        down = sorted(k for k in previous if k not in current)
+        up = sorted(current - self.active)
+        down = sorted(self.active - current)
+        self.active = current
         return up, down
 
 

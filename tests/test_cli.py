@@ -136,7 +136,9 @@ def test_unbuildable_inputs_exit_1_with_one_line(tmp_path, capsys, lines, reason
     ("map.exit_count", scenario.MAX_EXITS, "exits exceed the limit"),
     # TINY's other groups hold 6 nodes
     ("group.audience.count", scenario.MAX_NODES - 6, "nodes in all exceed the limit"),
-], ids=["exits", "nodes"])
+    # TINY's messages come at least 30 s apart
+    ("sim_duration", 30 * scenario.MAX_MESSAGES, "messages exceed the limit"),
+], ids=["exits", "nodes", "messages"])
 def test_validate_bounds_exit_and_node_counts(tmp_path, capsys, key, at_limit,
                                               reason):
     kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")]
@@ -145,7 +147,9 @@ def test_validate_bounds_exit_and_node_counts(tmp_path, capsys, key, at_limit,
     assert cli.main(["validate", str(path)]) == 0
     path.write_text("\n".join(kept + [f"{key} = {at_limit + 1}"]) + "\n")
     for argv in (["validate", str(path)],
-                 ["run", str(path), "--out", str(tmp_path / "out")]):
+                 ["run", str(path), "--out", str(tmp_path / "out")],
+                 ["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
+                  "--seeds", "1", "--out", str(tmp_path / "out")]):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and reason in err[0], (argv, err)

@@ -38,8 +38,8 @@ class Recorder:
         self.detector = detector
         self.calls = []
 
-    def detect(self, positions, previous):
-        result = self.detector.detect(positions, previous)
+    def detect(self, positions):
+        result = self.detector.detect(positions)
         self.calls.append(result)
         return result
 
@@ -47,12 +47,13 @@ class Recorder:
 def contact_run(cfg, seed, oracle):
     """Per-tick (ups, downs) and the event-log sha256 of one run."""
     sim = Simulation(cfg, seed)
-    assert isinstance(sim.detector, ContactDetector)
+    live = sim.contacts
+    assert isinstance(live.detector, ContactDetector)
     if oracle:
-        sim.detector = BruteForceContacts(
+        live.detector = BruteForceContacts(
             [n.interfaces for n in sim.nodes],
             {name: ic.range for name, ic in cfg.interfaces.items()})
-    recorder = sim.detector = Recorder(sim.detector)
+    recorder = live.detector = Recorder(live.detector)
     events, _ = sim.run()
     h = hashlib.sha256()
     for t, kind, mid, a, b, hops, reason in events:

@@ -149,36 +149,49 @@ def detector(interfaces, speeds=WALKING, tick=1.0):
 
 def test_contact_within_range_comes_up():
     det = detector([("bluetooth",), ("bluetooth",)])
-    up, down = det.detect([(0.0, 0.0), (14.0, 0.0)], {})
+    up, down = det.detect([(0.0, 0.0), (14.0, 0.0)])
     assert up == [(0, 1, "bluetooth")]
     assert down == []
 
 
 def test_no_contact_without_shared_interface():
     det = detector([("bluetooth",), ("wifi",)])
-    up, down = det.detect([(0.0, 0.0), (1.0, 0.0)], {})
+    up, down = det.detect([(0.0, 0.0), (1.0, 0.0)])
     assert up == []
 
 
 def test_two_shared_interfaces_make_two_contacts():
     det = detector([("bluetooth", "wifi"), ("bluetooth", "wifi")])
-    up, _ = det.detect([(0.0, 0.0), (10.0, 0.0)], {})
+    up, _ = det.detect([(0.0, 0.0), (10.0, 0.0)])
     assert up == [(0, 1, "bluetooth"), (0, 1, "wifi")]
 
 
 def test_contact_boundary_inclusive_and_down_transition():
     det = detector([("bluetooth",), ("bluetooth",)])
-    up, _ = det.detect([(0.0, 0.0), (15.0, 0.0)], {})
+    up, _ = det.detect([(0.0, 0.0), (15.0, 0.0)])
     assert up == [(0, 1, "bluetooth")]
-    active = {(0, 1, "bluetooth"): 0.0}
-    up, down = det.detect([(0.0, 0.0), (15.1, 0.0)], active)
+    up, down = det.detect([(0.0, 0.0), (15.1, 0.0)])
     assert up == []
     assert down == [(0, 1, "bluetooth")]
 
 
+def test_unchanged_positions_change_no_contact():
+    # pairs (0, 1) on bluetooth and (0, 2) on wifi sit on their range
+    # boundary, so the second call examines them again
+    det = detector([("bluetooth", "wifi"), ("bluetooth", "wifi"), ("wifi",)],
+                   speeds=[1.0, 1.0, 1.0])
+    positions = [(0.0, 0.0), (15.0, 0.0), (500.0, 0.0)]
+    up, down = det.detect(positions)
+    assert up == [(0, 1, "bluetooth"), (0, 1, "wifi"), (0, 2, "wifi"),
+                  (1, 2, "wifi")]
+    assert det.detect(positions) == ([], [])
+    assert {entry[5] for entry in det.pairs} == {(0, 1, "bluetooth"),
+                                                 (0, 2, "wifi")}
+
+
 def test_mixed_ranges_only_pair_like_interfaces():
     det = detector([("bluetooth", "wifi"), ("wifi",)])
-    up, _ = det.detect([(0.0, 0.0), (100.0, 0.0)], {})
+    up, _ = det.detect([(0.0, 0.0), (100.0, 0.0)])
     assert up == [(0, 1, "wifi")]
 
 
@@ -186,18 +199,19 @@ def test_stationary_pair_is_examined_once():
     # nodes 0 and 1 stay 10 m apart; node 2 walks past both at 1 m/s, 5 m
     # off their axis, so it meets node 0 for x in [-14.14, 14.14]
     det = detector([("bluetooth",)] * 3, speeds=[0.0, 0.0, 1.0])
-    active: dict = {}
     examined = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    active = set()
     events = []
     for t in range(200):
         x = -100.0 + t
-        up, down = det.detect([(0.0, 0.0), (10.0, 0.0), (x, 5.0)], active)
+        up, down = det.detect([(0.0, 0.0), (10.0, 0.0), (x, 5.0)])
         for key in down:
-            del active[key]
+            active.remove(key)
             events.append((x, "down", key[:2]))
         for key in up:
-            active[key] = float(t)
+            active.add(key)
             events.append((x, "up", key[:2]))
+        assert det.active == active
         for entry in det.pairs:
             examined[entry[:2]] += 1
     assert events == [(-100.0, "up", (0, 1)),

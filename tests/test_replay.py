@@ -3,8 +3,10 @@
 A run fed ``engine.record_contacts(cfg, seed)`` must give the live run's
 event log and summary byte for byte, whatever its protocol and buffer;
 the trace is recorded once per seed from the scenario file as it stands,
-as ``dtnsim sweep`` does.  A trace recorded for another tick length,
-duration or node count is refused.
+as ``dtnsim sweep`` does.  The desk runs cover buffers from saturated to
+ample; a 15 min slice of the full stadium covers its 85 nodes on the
+small map, where contacts over all three interfaces are dense.  A trace
+recorded for another tick length, duration or node count is refused.
 """
 
 import dataclasses
@@ -18,8 +20,11 @@ from dtnsim.engine import Simulation, SimulationError
 
 from conftest import desk_config
 
-DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SEEDS = (1, 2)
+RUNS = [("desk", protocol, buffer, seed) for protocol in sorted(scenario.PROTOCOLS)
+        for buffer in ("300k", "5M", "20M") for seed in SEEDS]
+RUNS += [("stadium", protocol, "5M", 1) for protocol in sorted(scenario.PROTOCOLS)]
 
 
 def log_digest(events) -> str:
@@ -30,23 +35,26 @@ def log_digest(events) -> str:
 
 
 @pytest.fixture(scope="module")
-def desk():
-    return scenario.parse_scenario(DESK_CFG.read_text())
+def configs():
+    stadium = scenario.parse_scenario((SCENARIOS / "stadium.cfg").read_text())
+    return {"desk": scenario.parse_scenario((SCENARIOS / "desk.cfg").read_text()),
+            "stadium": dataclasses.replace(stadium, sim_duration=900.0)}
 
 
 @pytest.fixture(scope="module")
-def traces(desk):
-    return {seed: engine.record_contacts(desk, seed) for seed in SEEDS}
+def traces(configs):
+    return {(name, seed): engine.record_contacts(configs[name], seed)
+            for name, seed in sorted({(name, seed) for name, _, _, seed in RUNS})}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("buffer", ["300k", "5M", "20M"])
-@pytest.mark.parametrize("protocol", sorted(scenario.PROTOCOLS))
-def test_replay_matches_live(desk, traces, protocol, buffer, seed):
-    cfg = scenario.expand_sweep(desk, "router.protocol", [protocol])[0]
+# the desk runs keep the ids they had before the stadium was added
+@pytest.mark.parametrize("name, protocol, buffer, seed", RUNS, ids=[
+    f"{name}-{p}-{b}-{s}".removeprefix("desk-") for name, p, b, s in RUNS])
+def test_replay_matches_live(configs, traces, name, protocol, buffer, seed):
+    cfg = scenario.expand_sweep(configs[name], "router.protocol", [protocol])[0]
     cfg = scenario.expand_sweep(cfg, "buffer_bytes", [scenario.parse_size(buffer)])[0]
     live_events, live_summary = engine.run(cfg, seed)
-    events, summary = engine.run(cfg, seed, traces[seed])
+    events, summary = engine.run(cfg, seed, traces[(name, seed)])
     assert log_digest(events) == log_digest(live_events)
     assert summary == live_summary
 
@@ -69,6 +77,20 @@ def test_replay_runs_no_mobility_or_detection(monkeypatch):
 
     monkeypatch.setattr(mobility, "step", forbidden)
     monkeypatch.setattr(netcore.ContactDetector, "detect", forbidden)
+    assert engine.run(cfg, 1, trace) == live
+
+
+def test_recording_builds_no_simulation(monkeypatch):
+    cfg = desk_config("epidemic", sim_duration=300)
+    live = engine.run(cfg, 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recording built a Simulation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulation, "__init__", forbidden)
+        trace = engine.record_contacts(cfg, 1)
+    assert trace.changes
     assert engine.run(cfg, 1, trace) == live
 
 

@@ -16,7 +16,7 @@ STADIUM_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cf
 def test_empty_text_yields_default_stadium():
     cfg = parse_scenario("")
     assert cfg == default_scenario()
-    assert cfg.total_nodes() == 85
+    assert sum(g.count for g in cfg.groups) == 85
     assert len(cfg.groups) == 6
     assert cfg.sim_duration == 12 * 3600
     assert cfg.traffic.ttl == 3 * 3600
@@ -133,7 +133,7 @@ def test_comments_and_blank_lines_ignored():
 def test_group_count_zero_removes_group():
     cfg = parse_scenario("group.media.count = 0")
     assert all(g.group_id != "media" for g in cfg.groups)
-    assert cfg.total_nodes() == 80
+    assert sum(g.count for g in cfg.groups) == 80
 
 
 def test_group_overrides_merge_with_defaults():

