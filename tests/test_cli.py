@@ -323,21 +323,37 @@ def test_plot_missing_file_exit2():
 STADIUM_CFG = DESK_CFG.parent / "stadium.cfg"
 
 # sha256 of events.tsv and metrics.csv from `dtnsim run CFG --seed 1 --events`
-# on a shipped scenario (5M buffer) with one line replaced; a changed byte is
-# a behaviour change.  The 1,500 s stadium epidemic run saturates its buffers
-# (13,565 overflow drops) and has three-interface nodes whose queue heads
-# wait on copies pinned by another transfer, which desk does not exercise.
+# on a shipped scenario (5M buffer) with the given lines replaced; a changed
+# byte is a behaviour change.  The 1,500 s stadium epidemic run saturates its
+# buffers (13,565 overflow drops) and has three-interface nodes whose queue
+# heads wait on copies pinned by another transfer, which desk does not
+# exercise.  The slow-desk runs abort in-flight transfers for both reasons:
+# epidemic 17 contact-down and 10 ttl-expiry aborts, spray-and-wait 10 and 2.
+EPIDEMIC = (("router.protocol = epidemic", "router.protocol = epidemic"),)
+SPRAY = (("router.protocol = epidemic", "router.protocol = spray-and-wait"),)
+SLOW_DESK = (("sim_duration = 2h", "sim_duration = 1200\nttl = 2m\n"
+              "interface.bluetooth.bandwidth = 20k\n"
+              "interface.wifi.bandwidth = 20k\n"
+              "interface.highspeed.bandwidth = 20k"),)
 PINNED_RUNS = {
     "desk-epidemic": (
-        DESK_CFG, "router.protocol = epidemic", "router.protocol = epidemic",
+        DESK_CFG, EPIDEMIC,
         "0a00036ee0bbc61ffae47e10c769a1e3d24cebaeb909835b45704387c0bfabcd",
         "6dbfa16dea18e0da8719dcad2179cd18d82904b501b35b79c3db1afe2089d5ea"),
     "desk-spray-and-wait": (
-        DESK_CFG, "router.protocol = epidemic", "router.protocol = spray-and-wait",
+        DESK_CFG, SPRAY,
         "d68f79bdceb5396a03d3cc01727cafec7d563e788dceedcaeaa1dbc8be4b4441",
         "87d151553426c6d84e8338ceef4afab1052a4e9f23e775246b30e573ddc0d768"),
+    "slow-desk-epidemic": (
+        DESK_CFG, SLOW_DESK + EPIDEMIC,
+        "403a11fc192569ec07ae83192a3ae35d72d4ca1c79e64d1eee66be17a7e5f552",
+        "399af5dddbcfca2cc6edb784ffba1b47c625a0644e259eb47ce39afb8afff2cd"),
+    "slow-desk-spray-and-wait": (
+        DESK_CFG, SLOW_DESK + SPRAY,
+        "c644c0d9fb802e7b49b7dcb8569793e3ac5411be9287c5563aa9b4fd1aadeb48",
+        "aa53df323809587b7a9c35c8cada233f81c0d365c75b9f5d490a48329638f49f"),
     "stadium-epidemic-1500s": (
-        STADIUM_CFG, "sim_duration = 12h", "sim_duration = 1500",
+        STADIUM_CFG, (("sim_duration = 12h", "sim_duration = 1500"),),
         "fad39aff8ca6c298382ababa1470d4b293503eccc033cf318d29cd613ade4405",
         "b7dbebc6a96a58b04400bee05ad9e2bdcffe37139914eb85dd05ce4b45bf7f70"),
 }
@@ -345,11 +361,13 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
 def test_outputs_match_pinned_digests(tmp_path, run):
-    base, line, replacement, *pinned = PINNED_RUNS[run]
+    base, edits, *pinned = PINNED_RUNS[run]
     text = base.read_text()
-    assert line + "\n" in text
+    for line, replacement in edits:
+        assert line + "\n" in text
+        text = text.replace(line, replacement)
     cfg = tmp_path / base.name
-    cfg.write_text(text.replace(line, replacement))
+    cfg.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--seed", "1", "--out", str(out),
                      "--events"]) == 0

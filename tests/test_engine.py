@@ -186,7 +186,12 @@ interface.slow.range = 1
     assert delivered[0][0] == 1.0                # 1.2 s of air time, 2 ticks
 
 
-def test_expired_inflight_transfer_aborts():
+@pytest.mark.parametrize("contact_end, reason", [
+    (10.0, "ttl-expiry"),
+    # the contact goes down on the tick the message expires: contact-down wins
+    (3.0, "contact-down"),
+])
+def test_expired_inflight_transfer_aborts(contact_end, reason):
     text = """
 sim_duration = 10
 buffer_size = 10M
@@ -205,14 +210,44 @@ interface.crawl.bandwidth = 10k
 interface.crawl.range = 1
 """
     cfg = scenario.parse_scenario(text)
-    events, summary = run_script(cfg, contacts=[(0, 1, "crawl", 0.0, 10.0)],
+    events, summary = run_script(cfg, contacts=[(0, 1, "crawl", 0.0, contact_end)],
                                  creations=[(0.0, 0, 1, 100_000)])
     aborted = [e for e in events if e[1] == "ABORTED"]
-    assert len(aborted) == 1
-    assert aborted[0][6] == "ttl-expiry"
+    assert [(e[0], e[6]) for e in aborted] == [(3.0, reason)]
     dropped = [e for e in events if e[1] == "DROPPED"]
     assert [e[6] for e in dropped] == ["ttl-expiry"]
     assert summary.delivered == 0
+
+
+def test_lost_transfer_moves_no_bytes_and_frees_its_slot_at_once():
+    """A transfer whose contact goes down is granted nothing in that tick;
+    the next offer on its slot gets the whole tick budget."""
+    text = """
+sim_duration = 10
+buffer_size = 10M
+group.audience.count = 0
+group.rescue.count = 0
+group.ambulance.count = 0
+group.media.count = 0
+group.sensors.count = 0
+group.exits.count = 0
+group.n.count = 3
+group.n.movement = stationary
+group.n.interfaces = bluetooth
+group.n.roles = message_source,message_destination
+interface.bluetooth.bandwidth = 250k
+interface.bluetooth.range = 1
+"""
+    cfg = scenario.parse_scenario(text)
+    events, _ = run_script(
+        cfg, contacts=[(0, 1, "bluetooth", 0.0, 1.0),
+                       (0, 2, "bluetooth", 0.0, 10.0)],
+        creations=[(0.0, 0, 1, 300_000), (0.0, 0, 2, 250_000)])
+    moves = [(t, kind, mid, b, reason) for t, kind, mid, a, b, _, reason in events
+             if kind in ("ABORTED", "DELIVERED", "RELAYED")]
+    assert moves == [(1.0, "ABORTED", "M1", 1, "contact-down"),
+                     (1.0, "DELIVERED", "M2", 2, "-"),
+                     (3.0, "RELAYED", "M1", 2, "-")]
 
 
 @pytest.mark.parametrize("protocol", ["epidemic", "spray-and-wait"])
