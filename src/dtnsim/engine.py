@@ -2,17 +2,20 @@
 
 Each tick covers [clock, clock + tick) and executes a fixed phase order:
 
-  1. purge TTL-expired copies from every buffer (in-flight copies abort)
+  1. purge TTL-expired copies from every buffer
   2. create due traffic at source buffers
   3. advance mobility for every node in node-id order
   4. detect contact up/down events from positions and interface ranges
   5. routing offers for new contacts in (pair, interface) order
-  6. advance transfers against per-(node, interface) byte budgets
-  7. completions feed the router; freed slots chain into queued offers
+  6. idle slots start their queued offers; then each in-flight transfer
+     whose contact went down or whose sender's copy expired aborts, in
+     (sender, interface) order, before any bytes move this tick
+  7. advance transfers against per-(node, interface) byte budgets
+  8. completions feed the router; freed slots chain into queued offers
      within the same tick while budget remains
-  8. clock advances by one tick
+  9. clock advances by one tick
 
-Phases 6 and 7 loop to a fixed point so that back-to-back transfers can
+Phases 7 and 8 loop to a fixed point so that back-to-back transfers can
 share one tick's bandwidth; with effectively infinite bandwidth an entire
 multi-hop exchange settles in the tick that enables it.
 
@@ -51,7 +54,7 @@ from .netcore import (Buffer, BufferedCopy, ContactDetector, Message,
                       TransferPool)
 from .reports import (ABORTED, CONTACT_DOWN, CONTACT_UP, CREATED, DROPPED,
                       REASON_CONTACT_DOWN, REASON_OVERFLOW, REASON_TTL,
-                      RELAYED, MetricsSummary, compute_metrics)
+                      MetricsSummary, compute_metrics)
 from .scenario import MapSpec, ScenarioConfig, validate
 from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
 
@@ -192,7 +195,7 @@ class Simulation:
         self.traffic_state = traffic.TrafficState(
             traffic.schedule_next(0.0, cfg.traffic.interval_range, self.traffic_rng))
 
-        # conservation audit: per message [born, dropped, consumed, relay_dups]
+        # conservation audit: per message [born, dropped, consumed]
         self.ledger: dict[str, list[int]] = {}
         self.holders: dict[str, set[int]] = {}
         self.expiry: deque[Message] = deque()
@@ -241,11 +244,7 @@ class Simulation:
                 continue
             counters = self.ledger[msg.id]
             for nid in sorted(held):
-                node = self.nodes[nid]
-                if msg.id in node.buffer.pinned:
-                    self.pool.doom_message_at(nid, msg.id, REASON_TTL)
-                    node.buffer.pinned.discard(msg.id)
-                copy = node.buffer.remove(msg.id)
+                copy = self.nodes[nid].buffer.remove(msg.id)
                 counters[1] += 1
                 self.log(now, DROPPED, msg.id, nid, NO_NODE, copy.hops, REASON_TTL)
 
@@ -265,7 +264,7 @@ class Simulation:
         self.log(now, CREATED, msg.id, msg.src, msg.dst, 0, NO_REASON)
         if msg.size > self.max_msg_size:
             self.max_msg_size = msg.size
-        self.ledger[msg.id] = [1, 0, 0, 0]
+        self.ledger[msg.id] = [1, 0, 0]
         if self._admit(self.nodes[msg.src],
                        routing.source_copy(self.cfg.router, msg), now):
             self.expiry.append(msg)
@@ -294,14 +293,12 @@ class Simulation:
     # --- phases 3+4: contacts ----------------------------------------------------
 
     def _apply_contacts(self, now: float, ups, downs) -> None:
-        """Contact bookkeeping: the contact sets, aborts of transfers over
-        lost contacts, and the contact events."""
+        """Contact bookkeeping: the contact sets and the contact events."""
         for key in downs:
             del self.active[key]
             a, b, iface = key
             del self.contacts_of[a][key]
             del self.contacts_of[b][key]
-            self.pool.doom_contact(key, REASON_CONTACT_DOWN)
             self.log(now, CONTACT_DOWN, NO_MSG, a, b, 0, iface)
         for key in ups:
             self.active[key] = now
@@ -332,18 +329,15 @@ class Simulation:
             self._queue(me, routing.on_contact_up(router, self.nodes[me], key,
                                                   self.nodes[peer]))
 
-    # --- phases 6+7: transfers ------------------------------------------------------
+    # --- phases 6-8: transfers ------------------------------------------------------
 
     def _run_transfers(self, now: float) -> None:
         budgets: dict[tuple[int, str], float] = {}
         pool = self.pool
-        started = self._start_transfers()
+        self._start_transfers()
+        self._abort_lost(now)
         while True:
-            completed, aborted = pool.advance(budgets)
-            for tr in aborted:
-                self.nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
-                self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0,
-                         tr.doomed or NO_REASON)
+            completed = pool.advance(budgets)
             if completed:
                 nodes = self.nodes
                 completed.sort(key=lambda tr: (
@@ -355,6 +349,24 @@ class Simulation:
             started = self._start_transfers()
             if not completed and not started:
                 break
+
+    def _abort_lost(self, now: float) -> None:
+        """Abort, in (sender, interface) order, each transfer whose contact
+        went down or whose sender no longer buffers the message (it
+        expired); contact-down names the reason when both hold.  The
+        receiver discards the partial data, and the slot is free at once."""
+        nodes, active = self.nodes, self.active
+        outgoing = self.pool.outgoing
+        lost = []
+        for skey, tr in outgoing.items():
+            if tr.contact_key not in active:
+                lost.append((skey, REASON_CONTACT_DOWN))
+            elif tr.msg.id not in nodes[tr.sender].buffer:
+                lost.append((skey, REASON_TTL))
+        for skey, reason in sorted(lost):
+            tr = outgoing.pop(skey)
+            nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
+            self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0, reason)
 
     def _start_transfers(self) -> int:
         started = 0
@@ -406,13 +418,11 @@ class Simulation:
         if copy is not None:
             counters[0] += 1
             self._admit(self.nodes[tr.receiver], copy, now)
-        elif kind == RELAYED:
-            counters[3] += 1     # a concurrent transfer got there first
 
     # --- audits -----------------------------------------------------------------
 
     def _audit(self, summary: MetricsSummary) -> None:
-        for msg_id, (born, dropped, consumed, _dups) in self.ledger.items():
+        for msg_id, (born, dropped, consumed) in self.ledger.items():
             held = len(self.holders.get(msg_id, ()))
             if born != dropped + consumed + held:
                 raise SimulationError(

@@ -11,9 +11,12 @@ until then and checked again only when its bucket comes due; an entry of
 two stationary nodes is checked once.
 
 Each node runs at most one outgoing transfer per interface; incoming
-transfers are unlimited.  Buffers evict oldest-received messages first,
-never the incoming message itself, and never a message currently being
-transmitted by the owning node.
+transfers are unlimited.  ``TransferPool`` only moves bytes and frees the
+slots of completed transfers; the engine aborts a transfer whose contact
+went down or whose message expired by taking it out of ``outgoing``.
+Buffers evict oldest-received messages first, never the incoming message
+itself, and never a message currently being transmitted by the owning
+node.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class ContactDetector:
 
 class Transfer:
     __slots__ = ("sender", "receiver", "iface", "msg", "bytes_sent",
-                 "contact_key", "doomed")
+                 "contact_key")
 
     def __init__(self, sender: int, receiver: int, iface: str, msg: Message,
                  contact_key: tuple[int, int, str]):
@@ -202,7 +205,6 @@ class Transfer:
         self.msg = msg
         self.bytes_sent = 0.0
         self.contact_key = contact_key
-        self.doomed: str | None = None    # abort reason once marked
 
 
 class TransferPool:
@@ -227,38 +229,17 @@ class TransferPool:
         self.outgoing[key] = tr
         return tr
 
-    def _release(self, tr: Transfer) -> None:
-        del self.outgoing[(tr.sender, tr.iface)]
-
-    def doom_contact(self, contact_key: tuple[int, int, str],
-                     reason: str) -> None:
-        for tr in self.outgoing.values():
-            if tr.contact_key == contact_key:
-                tr.doomed = reason
-
-    def doom_message_at(self, sender: int, msg_id: str, reason: str) -> None:
-        for tr in self.outgoing.values():
-            if tr.sender == sender and tr.msg.id == msg_id:
-                tr.doomed = reason
-
-    def advance(self, budgets: dict[tuple[int, str], float],
-                ) -> tuple[list[Transfer], list[Transfer]]:
-        """Consume per-(node, interface) byte budgets in deterministic order.
+    def advance(self, budgets: dict[tuple[int, str], float]) -> list[Transfer]:
+        """Move bytes against per-(node, interface) byte budgets.
 
         ``budgets`` holds what each slot has left this tick; a slot missing
-        from it starts with its interface's full ``tick_bytes``.  Doomed
-        transfers abort before receiving bytes; the receiver discards any
-        partial data.  Returns (completed, aborted); completed transfers are
-        released so follow-up transfers can reuse the slot and whatever
-        budget remains this tick.
+        from it starts with its interface's full ``tick_bytes``.  Returns the
+        completed transfers, in no set order, and frees their slots so
+        follow-up transfers can reuse them and whatever budget remains this
+        tick.
         """
         completed: list[Transfer] = []
-        aborted: list[Transfer] = []
-        for key in sorted(self.outgoing):
-            tr = self.outgoing[key]
-            if tr.doomed:
-                aborted.append(tr)
-                continue
+        for key, tr in self.outgoing.items():
             budget = budgets.get(key, self.tick_bytes[key[1]])
             if budget <= 0.0:
                 continue
@@ -268,10 +249,8 @@ class TransferPool:
             budgets[key] = budget - sent
             if tr.bytes_sent >= tr.msg.size:
                 completed.append(tr)
-        for tr in aborted:
-            self._release(tr)
         for tr in completed:
-            self._release(tr)
-            agg = (tr.sender, tr.iface)
-            self.completed_bytes[agg] = self.completed_bytes.get(agg, 0.0) + tr.msg.size
-        return completed, aborted
+            key = (tr.sender, tr.iface)
+            del self.outgoing[key]
+            self.completed_bytes[key] = self.completed_bytes.get(key, 0.0) + tr.msg.size
+        return completed

@@ -405,6 +405,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         findings.append("size_range: need 0 < min <= max")
     if cfg.traffic.ttl <= 0:
         findings.append("ttl: must be > 0")
+    elif cfg.tick > cfg.traffic.ttl:
+        # every copy would be purged before a second tick of its transfer
+        findings.append("tick: must not exceed ttl")
 
     if cfg.router.protocol not in PROTOCOLS:
         findings.append(f"router.protocol: unknown protocol {cfg.router.protocol!r}")

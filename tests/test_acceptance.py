@@ -140,12 +140,9 @@ def test_criterion_2_spray_copy_bound():
                     max_held = len(held)
         if max_held > copies:
             violations += 1
-        relays = {}
-        for t, kind, mid, a, b, hops, reason in sim.events:
-            if kind == "RELAYED":
-                relays[mid] = relays.get(mid, 0) + 1
-        for mid, count in relays.items():
-            if count - sim.ledger[mid][3] > copies - 1:
+        # every copy born after the source's is a relay that stored it
+        for born, _dropped, _consumed in sim.ledger.values():
+            if born - 1 > copies - 1:
                 violations += 1
         sim.events.clear()
     _report("criterion 2 (spray copy bound)", violations == 0,
@@ -180,26 +177,33 @@ def desk_results():
 def _conservation_checks(sim, events, summary, protocol):
     """Criterion 5: per-message terminal accounting, buffer occupancy and
     per-interface throughput."""
-    created = {}
-    relays_non_dst = {}
+    spray = protocol == "spray-and-wait"
+    born = {}
+    held_by = {}      # the log's own replay of who holds each message
     drops = {}
     arrivals = {}
     for t, kind, mid, a, b, hops, reason in events:
         if kind == "CREATED":
-            created[mid] = 1
+            born[mid] = 1
+            held_by[mid] = {a}
         elif kind == "RELAYED":
-            relays_non_dst[mid] = relays_non_dst.get(mid, 0) + 1
+            if b not in held_by[mid]:   # else the receiver discards a duplicate
+                born[mid] += 1
+                held_by[mid].add(b)
         elif kind in ("DELIVERED", "DUPLICATE"):
             arrivals[mid] = arrivals.get(mid, 0) + 1
+            if spray:
+                held_by[mid].discard(a)
         elif kind == "DROPPED":
             drops[mid] = drops.get(mid, 0) + 1
-    spray = protocol == "spray-and-wait"
-    for mid in created:
-        born = 1 + relays_non_dst.get(mid, 0) - sim.ledger[mid][3]
+            held_by[mid].discard(a)
+    for mid in born:
         consumed = arrivals.get(mid, 0) if spray else 0
         held = len(sim.holders.get(mid, ()))
-        assert born == drops.get(mid, 0) + consumed + held, (
-            f"{mid}: born {born} != dropped {drops.get(mid, 0)} "
+        assert born[mid] == sim.ledger[mid][0], mid
+        assert held_by[mid] == sim.holders.get(mid, set()), mid
+        assert born[mid] == drops.get(mid, 0) + consumed + held, (
+            f"{mid}: born {born[mid]} != dropped {drops.get(mid, 0)} "
             f"+ consumed {consumed} + held {held}")
     for node in sim.nodes:
         occ = sum(c.msg.size for c in node.buffer.copies.values())

@@ -132,16 +132,18 @@ def test_unbuildable_inputs_exit_1_with_one_line(tmp_path, capsys, lines, reason
         assert len(err) == 1 and reason in err[0], (argv, err)
 
 
-@pytest.mark.parametrize("key, at_limit, reason", [
-    ("map.exit_count", scenario.MAX_EXITS, "exits exceed the limit"),
+@pytest.mark.parametrize("key, at_limit, reason, extra", [
+    ("map.exit_count", scenario.MAX_EXITS, "exits exceed the limit", []),
     # TINY's other groups hold 6 nodes
-    ("group.audience.count", scenario.MAX_NODES - 6, "nodes in all exceed the limit"),
+    ("group.audience.count", scenario.MAX_NODES - 6, "nodes in all exceed the limit",
+     []),
     # TINY's messages come at least 30 s apart
-    ("sim_duration", 30 * scenario.MAX_MESSAGES, "messages exceed the limit"),
-], ids=["exits", "nodes", "messages"])
+    ("sim_duration", 30 * scenario.MAX_MESSAGES, "messages exceed the limit", []),
+    ("tick", 100, "tick: must not exceed ttl", ["ttl = 100"]),
+], ids=["exits", "nodes", "messages", "tick-ttl"])
 def test_validate_bounds_exit_and_node_counts(tmp_path, capsys, key, at_limit,
-                                              reason):
-    kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")]
+                                              reason, extra):
+    kept = [ln for ln in TINY.splitlines() if not ln.startswith(key + " ")] + extra
     path = tmp_path / "large.cfg"
     path.write_text("\n".join(kept + [f"{key} = {at_limit}"]) + "\n")
     assert cli.main(["validate", str(path)]) == 0

@@ -186,12 +186,7 @@ interface.slow.range = 1
     assert delivered[0][0] == 1.0                # 1.2 s of air time, 2 ticks
 
 
-@pytest.mark.parametrize("contact_end, reason", [
-    (10.0, "ttl-expiry"),
-    # the contact goes down on the tick the message expires: contact-down wins
-    (3.0, "contact-down"),
-])
-def test_expired_inflight_transfer_aborts(contact_end, reason):
+def test_expired_inflight_transfer_aborts():
     text = """
 sim_duration = 10
 buffer_size = 10M
@@ -210,13 +205,16 @@ interface.crawl.bandwidth = 10k
 interface.crawl.range = 1
 """
     cfg = scenario.parse_scenario(text)
-    events, summary = run_script(cfg, contacts=[(0, 1, "crawl", 0.0, contact_end)],
-                                 creations=[(0.0, 0, 1, 100_000)])
-    aborted = [e for e in events if e[1] == "ABORTED"]
-    assert [(e[0], e[6]) for e in aborted] == [(3.0, reason)]
-    dropped = [e for e in events if e[1] == "DROPPED"]
-    assert [e[6] for e in dropped] == ["ttl-expiry"]
-    assert summary.delivered == 0
+    # a contact that goes down on the tick the message expires: contact-down wins
+    for contact_end, reason in ((10.0, "ttl-expiry"), (3.0, "contact-down")):
+        events, summary = run_script(
+            cfg, contacts=[(0, 1, "crawl", 0.0, contact_end)],
+            creations=[(0.0, 0, 1, 100_000)])
+        aborted = [e for e in events if e[1] == "ABORTED"]
+        assert [(e[0], e[6]) for e in aborted] == [(3.0, reason)]
+        dropped = [e for e in events if e[1] == "DROPPED"]
+        assert [e[6] for e in dropped] == ["ttl-expiry"]
+        assert summary.delivered == 0
 
 
 def test_lost_transfer_moves_no_bytes_and_frees_its_slot_at_once():

@@ -228,9 +228,8 @@ def test_transfer_completes_within_budget():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "highspeed")
     pool.begin(0, 1, "highspeed", msg("M1", 300_000), key)
-    completed, aborted = pool.advance({(0, "highspeed"): 20_000_000.0})
+    completed = pool.advance({(0, "highspeed"): 20_000_000.0})
     assert [t.msg.id for t in completed] == ["M1"]
-    assert aborted == []
     assert pool.outgoing == {}
 
 
@@ -238,10 +237,10 @@ def test_transfer_progresses_across_ticks():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
-    completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
+    completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert completed == []
     assert pool.outgoing[(0, "bluetooth")].bytes_sent == 250_000.0
-    completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
+    completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert [t.msg.id for t in completed] == ["M1"]
 
 
@@ -249,21 +248,8 @@ def test_exact_boundary_completes():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     pool.begin(0, 1, "bluetooth", msg("M1", 250_000), key)
-    completed, _ = pool.advance({(0, "bluetooth"): 250_000.0})
+    completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert len(completed) == 1
-
-
-def test_contact_break_aborts_without_partial_delivery():
-    pool = TransferPool(TICK_BYTES)
-    key = (0, 1, "bluetooth")
-    tr = pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
-    pool.advance({(0, "bluetooth"): 125_000.0})
-    pool.doom_contact(key, "contact-down")
-    completed, aborted = pool.advance({(0, "bluetooth"): 250_000.0})
-    assert completed == []
-    assert aborted == [tr]
-    assert tr.bytes_sent == 125_000.0      # no bytes granted after doom
-    assert pool.outgoing == {}
 
 
 def test_leftover_budget_chains_to_next_transfer():
@@ -271,11 +257,11 @@ def test_leftover_budget_chains_to_next_transfer():
     key = (0, 1, "bluetooth")
     budgets = {(0, "bluetooth"): 250_000.0}
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
-    completed, _ = pool.advance(budgets)
+    completed = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 150_000.0
     pool.begin(0, 1, "bluetooth", msg("M2", 150_000, seq=2), key)
-    completed, _ = pool.advance(budgets)
+    completed = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 0.0
 
@@ -285,11 +271,11 @@ def test_slot_missing_from_budgets_gets_full_tick_budget():
     key = (0, 1, "bluetooth")
     budgets = {}
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
-    completed, _ = pool.advance(budgets)
+    completed = pool.advance(budgets)
     assert [t.msg.id for t in completed] == ["M1"]
     assert budgets == {(0, "bluetooth"): 150_000.0}
     pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key)
-    completed, _ = pool.advance(budgets)
+    completed = pool.advance(budgets)
     assert completed == []
     assert pool.outgoing[(0, "bluetooth")].bytes_sent == 150_000.0
     assert budgets == {(0, "bluetooth"): 0.0}
