@@ -235,6 +235,29 @@ def test_sweep_then_plot_reproduces_identical_svgs(tiny_file, tmp_path,
                 == (replot / f"{metric}.svg").read_bytes())
 
 
+# sha256 of what `dtnsim sweep scenarios/desk.cfg --buffers 5M,20M --protocols
+# epidemic,spray-and-wait --seeds 1` writes; a changed byte is a behaviour change
+PINNED_SWEEP = {
+    "metrics.csv": "1fe4497192d736720c50e6a9cdeeef63beae193d32ebd2c1d0fea48bf72086a9",
+    "delivery_probability.svg":
+        "75abbc5757850902efe7f09b9d4651fd08e33a5f2b3ba9916cc8021b2465ff35",
+    "dropped.svg": "23ac6af233832cee01562f2b1a052a0e3d550c23f8ac2d2cc9a8601e08e8d3d5",
+    "hopcount_avg.svg": "53f6b3aceb82a32fef9873edd61a0d9c530146a80ea0eb1243e372d9fc46c6f0",
+    "latency_avg.svg": "423448971c79b4dbf377989689e5b86b1c17ff33fff55369ade8e12d05302eca",
+    "overhead_ratio.svg":
+        "7df187a285622b3f7b8242c71ac8cf105225302a3de1334684ab8cf319695afd",
+}
+
+
+def test_desk_sweep_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setenv("DTNSIM_THREADS", "1")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(DESK_CFG), "--buffers", "5M,20M", "--protocols",
+                     "epidemic,spray-and-wait", "--seeds", "1", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_SWEEP} == PINNED_SWEEP
+
+
 def test_sweep_rows_equal_live_runs_serial_and_parallel():
     protocols, buffers, seeds = ["epidemic", "spray-and-wait"], [300_000, 5_000_000], [3, 4]
     serial = cli.sweep_runs(TINY, protocols, buffers, seeds, workers=1)
