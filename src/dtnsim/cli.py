@@ -1,9 +1,12 @@
 """Command-line entry point: validate, run, sweep and plot.
 
-Exit codes: 0 success, 1 domain error (validation or run failure),
-2 usage/IO error.  ``DTNSIM_THREADS`` caps sweep parallelism (unset or 0:
-number of processors); runs are independent, so parallel execution cannot
-change results, and outputs are written in sorted order regardless.
+Exit codes: 0 success, 1 domain error (a scenario or CSV that does not
+parse, validation findings or a run failure), 2 usage/IO error (a bad
+flag, an unreadable input or an unusable ``--out``).  ``main`` alone turns
+a failure into its exit code and stderr lines; the commands only raise.
+``DTNSIM_THREADS`` caps sweep parallelism (unset or 0: number of
+processors); runs are independent, so parallel execution cannot change
+results, and outputs are written in sorted order regardless.
 """
 
 from __future__ import annotations
@@ -22,17 +25,75 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _read_scenario(path: str) -> str | None:
-    """The scenario file's text, or None once an error line is printed."""
-    if not os.path.exists(path):
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None
+class UsageError(Exception):
+    """A bad flag, an unreadable input or an unusable output directory."""
+
+
+class Findings(Exception):
+    """A scenario that parses but must not run; one finding per argument."""
+
+
+def _read(path: str) -> str:
+    """The text of an input file, a scenario or a metrics CSV."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _out_dir(path: str) -> str:
+    """``path``, made a directory before anything is simulated or written."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use --out {path}: {exc}") from None
+    return path
+
+
+def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
+    """Scenario invariants and, once those hold, whether the map builds."""
+    findings = scenario.validate(cfg)
+    if not findings:
+        try:
+            engine.load_map(cfg.map_source, cfg.seed)
+        except engine.SimulationError as exc:
+            findings.append(f"map: {exc}")
+    return findings
+
+
+def _load_scenario(path: str) -> tuple[str, scenario.ScenarioConfig]:
+    """The text and config of a scenario file that reads, parses and has no
+    findings; every command that takes a scenario loads it here."""
+    text = _read(path)
+    cfg = scenario.parse_scenario(text)
+    findings = _findings(cfg)
+    if findings:
+        raise Findings(*findings)
+    return text, cfg
+
+
+def _flag(flag: str, text: str, parse):
+    """``parse(text)``; a value it rejects is a usage error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _axis(flag: str, text: str, parse) -> list:
+    """The parsed values of a comma-separated sweep axis, none repeated."""
+    values = [_flag(flag, item, parse) for item in text.split(",") if item]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{flag} repeats {value}")
+    return values
+
+
+def _protocol(text: str) -> str:
+    if text not in scenario.PROTOCOLS:
+        raise ValueError(f"unknown protocol {text!r}")
+    return text
 
 
 def _write_events(events, path: str) -> None:
@@ -49,72 +110,27 @@ def _print_summary(s: reports.MetricsSummary) -> None:
     print(f"dropped              = {s.dropped_total}")
 
 
-def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
-    """Scenario invariants and, once those hold, whether the map builds."""
-    findings = scenario.validate(cfg)
-    if not findings:
-        try:
-            engine.load_map(cfg.map_source, cfg.seed)
-        except engine.SimulationError as exc:
-            findings.append(f"map: {exc}")
-    return findings
+def cmd_validate(args) -> None:
+    _load_scenario(args.config)
 
 
-def cmd_validate(args) -> int:
-    text = _read_scenario(args.config)
-    if text is None:
-        return EXIT_USAGE
-    try:
-        cfg = scenario.parse_scenario(text)
-    except scenario.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    findings = _findings(cfg)
-    for finding in findings:
-        print(finding, file=sys.stderr)
-    return EXIT_OK if not findings else EXIT_DOMAIN
-
-
-def cmd_run(args) -> int:
-    text = _read_scenario(args.config)
-    if text is None:
-        return EXIT_USAGE
-    try:
-        cfg = scenario.parse_scenario(text)
-    except scenario.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        seed = cfg.seed if args.seed is None else scenario.parse_seed(args.seed)
-    except (ValueError, scenario.ScenarioError) as exc:
-        print(f"error: --seed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        events, summary = engine.run(cfg, seed)
-    except engine.SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    os.makedirs(args.out, exist_ok=True)
+def cmd_run(args) -> None:
+    _, cfg = _load_scenario(args.config)
+    seed = cfg.seed if args.seed is None else _flag("--seed", args.seed,
+                                                    scenario.parse_seed)
+    out = _out_dir(args.out)
+    events, summary = engine.run(cfg, seed)
     reports.write_csv([(cfg.router.protocol, cfg.buffer_bytes, seed, summary)],
-                      os.path.join(args.out, "metrics.csv"))
+                      os.path.join(out, "metrics.csv"))
     if args.events:
-        _write_events(events, os.path.join(args.out, "events.tsv"))
+        _write_events(events, os.path.join(out, "events.tsv"))
     _print_summary(summary)
-    return EXIT_OK
 
 
-def _record_worker(packed) -> engine.ContactTrace:
-    text, seed = packed
-    return engine.record_contacts(scenario.parse_scenario(text), seed)
-
-
-def _sweep_worker(packed) -> tuple[str, int, int, reports.MetricsSummary]:
-    text, protocol, buffer_bytes, seed, contacts = packed
-    cfg = scenario.parse_scenario(text)
-    cfg = scenario.expand_sweep(cfg, "router.protocol", [protocol])[0]
-    cfg = scenario.expand_sweep(cfg, "buffer_bytes", [buffer_bytes])[0]
+def _sweep_worker(job) -> tuple[str, int, int, reports.MetricsSummary]:
+    cfg, seed, contacts = job
     _, summary = engine.run(cfg, seed, contacts)
-    return protocol, buffer_bytes, seed, summary
+    return cfg.router.protocol, cfg.buffer_bytes, seed, summary
 
 
 def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
@@ -127,16 +143,18 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
     them.  ``workers`` of None or 0 means one per processor; with more
     than one, a process pool takes the recordings, then the runs.
     """
-    runs = len(protocols) * len(buffers) * len(seeds)
-    workers = max(1, min(workers or os.cpu_count() or 1, runs))
+    base = scenario.parse_scenario(config_text)
+    cfgs = [cfg for by_protocol in scenario.expand_sweep(base, "router.protocol",
+                                                         protocols)
+            for cfg in scenario.expand_sweep(by_protocol, "buffer_bytes", buffers)]
+    workers = max(1, min(workers or os.cpu_count() or 1, len(cfgs) * len(seeds)))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         each = map if pool is None else pool.map
-        traces = each(_record_worker, [(config_text, s) for s in seeds])
+        traces = each(engine.record_contacts, [base] * len(seeds), seeds)
         # seed by seed, so that a serial sweep holds one trace at a time
-        jobs = ((config_text, p, b, seed, trace)
-                for seed, trace in zip(seeds, traces)
-                for p in protocols for b in buffers)
+        jobs = ((cfg, seed, trace) for seed, trace in zip(seeds, traces)
+                for cfg in cfgs)
         results = list(each(_sweep_worker, jobs))
     results.sort(key=lambda item: (item[0], item[1], item[2]))
     return results
@@ -144,8 +162,8 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
 
 def plot_csv(csv_path: str, out_dir: str) -> list[str]:
     """Render the five charts from a metrics CSV; returns written paths."""
-    rows = reports.read_csv(csv_path)
-    os.makedirs(out_dir, exist_ok=True)
+    rows = reports.parse_csv(_read(csv_path))
+    _out_dir(out_dir)
     written = []
     for metric in reports.CHART_METRICS:
         path = os.path.join(out_dir, f"{metric}.svg")
@@ -154,55 +172,22 @@ def plot_csv(csv_path: str, out_dir: str) -> list[str]:
     return written
 
 
-def _axis(flag: str, text: str, parse) -> list:
-    """The parsed values of a comma-separated sweep axis; ValueError when a
-    value repeats after parsing."""
-    values = [parse(item) for item in text.split(",") if item]
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"{flag} repeats {value}")
-    return values
-
-
-def cmd_sweep(args) -> int:
-    config_text = _read_scenario(args.config)
-    if config_text is None:
-        return EXIT_USAGE
-    try:
-        buffers = _axis("--buffers", args.buffers, scenario.parse_size)
-        protocols = _axis("--protocols", args.protocols, str)
-        seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
-    except (ValueError, scenario.ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_sweep(args) -> None:
+    config_text, _ = _load_scenario(args.config)
+    buffers = _axis("--buffers", args.buffers, scenario.parse_size)
+    protocols = _axis("--protocols", args.protocols, _protocol)
+    seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
+    if not buffers or not protocols or not seeds:
+        raise UsageError("empty sweep axis")
     threads = os.environ.get("DTNSIM_THREADS") or "0"
     if not threads.isdecimal():
-        print(f"error: DTNSIM_THREADS must be a non-negative integer, "
-              f"got {threads!r}", file=sys.stderr)
-        return EXIT_USAGE
-    workers = int(threads)
-    if not buffers or not protocols or not seeds:
-        print("error: empty sweep axis", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = scenario.parse_scenario(config_text)
-        findings = _findings(cfg)
-        if findings:
-            for finding in findings:
-                print(finding, file=sys.stderr)
-            return EXIT_DOMAIN
-        for p in protocols:
-            if p not in scenario.PROTOCOLS:
-                print(f"error: unknown protocol {p!r}", file=sys.stderr)
-                return EXIT_USAGE
-        results = sweep_runs(config_text, protocols, buffers, seeds, workers)
-    except (scenario.ScenarioError, engine.SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "metrics.csv")
+        raise UsageError(f"DTNSIM_THREADS must be a non-negative integer, "
+                         f"got {threads!r}")
+    out = _out_dir(args.out)
+    results = sweep_runs(config_text, protocols, buffers, seeds, int(threads))
+    csv_path = os.path.join(out, "metrics.csv")
     reports.write_csv(results, csv_path)
-    charts = plot_csv(csv_path, args.out)
+    charts = plot_csv(csv_path, out)
     manifest = {
         "config": os.path.abspath(args.config),
         "protocols": protocols,
@@ -210,25 +195,15 @@ def cmd_sweep(args) -> int:
         "seeds": seeds,
         "artifacts": [csv_path] + charts,
     }
-    with open(os.path.join(args.out, "manifest.json"), "w",
-              encoding="utf-8") as fh:
+    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{len(results)} runs -> {csv_path}")
-    return EXIT_OK
 
 
-def cmd_plot(args) -> int:
-    if not os.path.exists(args.csv):
-        print(f"error: no such file: {args.csv}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        charts = plot_csv(args.csv, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+def cmd_plot(args) -> None:
+    charts = plot_csv(args.csv, args.out)
     print(f"{len(charts)} charts -> {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +240,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where a failure becomes an exit code
+    and its stderr lines.  Anything else raised is a bug and keeps its
+    traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+        return EXIT_OK
+    except UsageError as exc:
+        code, lines = EXIT_USAGE, [f"error: {exc}"]
+    except Findings as exc:
+        code, lines = EXIT_DOMAIN, exc.args
+    except (scenario.ScenarioError, engine.SimulationError, reports.CsvError) as exc:
+        code, lines = EXIT_DOMAIN, [f"error: {exc}"]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .scenario import GroupConfig
-from .worldmap import MapGraph, Path, shortest_path
+from .worldmap import MapGraph, shortest_path
 
 MOVING = "moving"
 PAUSED = "paused"
@@ -26,7 +26,7 @@ class MovementState:
         self.mode = mode
         self.position = position
         self.vertex = vertex          # vertex at the end of the last completed leg
-        self.path: Path | None = None
+        self.path: tuple[int, ...] | None = None
         self.seg_ends: list[float] = []
         self.seg_cursor = 0
         self.progress = 0.0
@@ -34,12 +34,11 @@ class MovementState:
         self.pause_until = 0.0
 
 
-def _set_path(state: MovementState, graph: MapGraph, path: Path) -> None:
+def _set_path(state: MovementState, graph: MapGraph, path: tuple[int, ...]) -> None:
     state.path = path
     ends = []
     total = 0.0
-    verts = path.vertices
-    for a, b in zip(verts, verts[1:]):
+    for a, b in zip(path, path[1:]):
         (x1, y1), (x2, y2) = graph.vertices[a], graph.vertices[b]
         total += ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
         ends.append(total)
@@ -57,9 +56,9 @@ def _interpolate(state: MovementState, graph: MapGraph) -> tuple[float, float]:
         cur += 1
     state.seg_cursor = cur
     if cur >= len(ends):
-        return graph.vertices[path.vertices[-1]]
-    a = graph.vertices[path.vertices[cur]]
-    b = graph.vertices[path.vertices[cur + 1]]
+        return graph.vertices[path[-1]]
+    a = graph.vertices[path[cur]]
+    b = graph.vertices[path[cur + 1]]
     seg_start = ends[cur - 1] if cur > 0 else 0.0
     seg_len = ends[cur] - seg_start
     t = (state.progress - seg_start) / seg_len if seg_len > 0 else 1.0
@@ -120,7 +119,7 @@ def step(state: MovementState, now: float, dt: float, graph: MapGraph,
     if state.progress >= total:
         # arrival: truncate overshoot, pause starting at the tick boundary
         state.progress = total
-        state.vertex = state.path.vertices[-1]
+        state.vertex = state.path[-1]
         state.position = graph.vertices[state.vertex]
         state.mode = PAUSED
         state.pause_until = now + dt + rng.uniform(group.pause_range[0],

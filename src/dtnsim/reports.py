@@ -150,24 +150,32 @@ def write_csv(summaries: list[tuple[str, int, int, MetricsSummary]],
                               summary_row(protocol, buffer_bytes, seed, s)) + "\n")
 
 
-def read_csv(path: str) -> list[dict]:
-    """Parse a metrics CSV back into row dicts (floats for metric columns)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+class CsvError(ValueError):
+    """A metrics CSV that does not hold the columns and values ``write_csv``
+    writes."""
+
+
+def parse_csv(text: str) -> list[dict]:
+    """Parse a metrics CSV's text back into row dicts (floats for metric
+    columns)."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
-        raise ValueError("empty CSV")
+        raise CsvError("empty CSV")
     header = lines[0].split(",")
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
-        raise ValueError(f"CSV missing column(s): {', '.join(missing)}")
+        raise CsvError(f"CSV missing column(s): {', '.join(missing)}")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ValueError(f"malformed CSV row: {ln!r}")
+            raise CsvError(f"malformed CSV row: {ln!r}")
         row = dict(zip(header, parts))
         for column, _, kind in _COLUMNS:
-            row[column] = kind(row[column])
+            try:
+                row[column] = kind(row[column])
+            except ValueError:
+                raise CsvError(f"bad {column} value {row[column]!r}") from None
         rows.append(row)
     return rows
 

@@ -107,12 +107,6 @@ class ScenarioConfig:
     map_source: MapSpec = MapSpec()
     seed: int = 1
 
-    def group(self, group_id: str) -> GroupConfig:
-        for g in self.groups:
-            if g.group_id == group_id:
-                return g
-        raise KeyError(group_id)
-
 
 def default_interfaces() -> dict[str, InterfaceConfig]:
     return {
@@ -204,14 +198,17 @@ def _parse_bool(text: str) -> bool:
     raise ScenarioError(f"bad boolean value {text!r}")
 
 
-def _parse_pair(text: str, item_parser) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ScenarioError(f"expected 'min,max' pair, got {text!r}")
-    pair = (item_parser(parts[0]), item_parser(parts[1]))
-    if pair[0] > pair[1]:
-        raise ScenarioError(f"range {text!r} has min > max")
-    return pair
+def _pair(item_parser):
+    """The parser of a ``min,max`` pair of items."""
+    def parse(text: str) -> tuple:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ScenarioError(f"expected 'min,max' pair, got {text!r}")
+        pair = (item_parser(parts[0]), item_parser(parts[1]))
+        if pair[0] > pair[1]:
+            raise ScenarioError(f"range {text!r} has min > max")
+        return pair
+    return parse
 
 
 def _parse_list(text: str, item_parser=str) -> tuple:
@@ -234,55 +231,43 @@ def _choice(allowed: tuple[str, ...], what: str):
     return parse
 
 
-def _fmt_num(x: float) -> str:
-    return repr(int(x)) if float(x) == int(x) else repr(float(x))
-
-
-def _pair(item_parser, item_fmt):
-    """(parse, format) of a ``min,max`` pair of items."""
-    return (lambda text: _parse_pair(text, item_parser),
-            lambda pair: f"{item_fmt(pair[0])},{item_fmt(pair[1])}")
-
-
 # --- the scenario format: one row per key ----------------------------------
 
-# key -> (section, field, parse, format); section "" is ScenarioConfig itself,
-# otherwise the name of its sub-config.  Rows are in serialization order.
+# key -> (section, field, parse); section "" is ScenarioConfig itself,
+# otherwise the name of its sub-config.
 _KEYS = {
-    "sim_duration": ("", "sim_duration", parse_duration, _fmt_num),
-    "tick": ("", "tick", parse_duration, _fmt_num),
-    "buffer_size": ("", "buffer_bytes", parse_size, str),
-    "seed": ("", "seed", parse_seed, str),
-    "ttl": ("traffic", "ttl", parse_duration, _fmt_num),
-    "interval_range": ("traffic", "interval_range", *_pair(parse_duration, _fmt_num)),
-    "size_range": ("traffic", "size_range", *_pair(parse_size, str)),
-    "router.protocol": ("router", "protocol", _choice(PROTOCOLS, "protocol"), str),
-    "router.copies": ("router", "copy_budget", int, str),
-    "router.binary": ("router", "binary_mode", _parse_bool,
-                      lambda b: "true" if b else "false"),
-    "map": ("map_source", "source", str, str),
-    "map.ring_radius": ("map_source", "ring_radius", _parse_float, _fmt_num),
-    "map.exit_count": ("map_source", "exit_count", int, str),
-    "map.road_length": ("map_source", "road_length", _parse_float, _fmt_num),
+    "sim_duration": ("", "sim_duration", parse_duration),
+    "tick": ("", "tick", parse_duration),
+    "buffer_size": ("", "buffer_bytes", parse_size),
+    "seed": ("", "seed", parse_seed),
+    "ttl": ("traffic", "ttl", parse_duration),
+    "interval_range": ("traffic", "interval_range", _pair(parse_duration)),
+    "size_range": ("traffic", "size_range", _pair(parse_size)),
+    "router.protocol": ("router", "protocol", _choice(PROTOCOLS, "protocol")),
+    "router.copies": ("router", "copy_budget", int),
+    "router.binary": ("router", "binary_mode", _parse_bool),
+    "map": ("map_source", "source", str),
+    "map.ring_radius": ("map_source", "ring_radius", _parse_float),
+    "map.exit_count": ("map_source", "exit_count", int),
+    "map.road_length": ("map_source", "road_length", _parse_float),
 }
 
-# group.<id>.<key> -> (GroupConfig field, parse, format)
+# group.<id>.<key> -> (GroupConfig field, parse)
 _GROUP_FIELDS = {
-    "count": ("count", int, str),
-    "movement": ("movement", _choice(MOVEMENT_MODELS, "movement model"), str),
-    "speed": ("speed_range", *_pair(_parse_float, _fmt_num)),
-    "pause": ("pause_range", *_pair(parse_duration, _fmt_num)),
-    "interfaces": ("interfaces", _parse_list, ",".join),
+    "count": ("count", int),
+    "movement": ("movement", _choice(MOVEMENT_MODELS, "movement model")),
+    "speed": ("speed_range", _pair(_parse_float)),
+    "pause": ("pause_range", _pair(parse_duration)),
+    "interfaces": ("interfaces", _parse_list),
     "roles": ("role_flags",
-              lambda text: _parse_list(text, _choice(ROLE_FLAGS, "role flag")),
-              ",".join),
-    "placement": ("placement", _choice(PLACEMENTS, "placement"), str),
+              lambda text: _parse_list(text, _choice(ROLE_FLAGS, "role flag"))),
+    "placement": ("placement", _choice(PLACEMENTS, "placement")),
 }
 
-# interface.<name>.<key> -> (InterfaceConfig field, parse, format)
+# interface.<name>.<key> -> (InterfaceConfig field, parse)
 _INTERFACE_FIELDS = {
-    "bandwidth": ("bandwidth", lambda text: float(parse_size(text)), _fmt_num),
-    "range": ("range", _parse_float, _fmt_num),
+    "bandwidth": ("bandwidth", lambda text: float(parse_size(text))),
+    "range": ("range", _parse_float),
 }
 
 _NAMED_FIELDS = {"group": _GROUP_FIELDS, "interface": _INTERFACE_FIELDS}
@@ -319,12 +304,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         parts = key.split(".")
         try:
             if key in _KEYS:
-                section, name, parse, _ = _KEYS[key]
+                section, name, parse = _KEYS[key]
                 sections[section][name] = parse(value)
             elif len(parts) == 3 and parts[2] in _NAMED_FIELDS.get(parts[0], ()):
                 if not parts[1]:
                     raise ScenarioError(f"empty {parts[0]} name in key {key!r}")
-                name, parse, _ = _NAMED_FIELDS[parts[0]][parts[2]]
+                name, parse = _NAMED_FIELDS[parts[0]][parts[2]]
                 named[parts[0]].setdefault(parts[1], {})[name] = parse(value)
             else:
                 raise ScenarioError(f"unknown key {key!r}")
@@ -348,29 +333,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         top[section] = replace(getattr(cfg, section), **fields)
     return replace(cfg, groups=tuple(g for g in all_groups.values() if g.count > 0),
                    interfaces=all_interfaces, **top)
-
-
-def _field_lines(prefix: str, conf, table: dict) -> list[str]:
-    return [f"{prefix}.{key} = {fmt(getattr(conf, name))}"
-            for key, (name, _, fmt) in table.items()]
-
-
-def serialize_scenario(cfg: ScenarioConfig) -> str:
-    """Render cfg as scenario text; parse_scenario(serialize_scenario(c)) == c."""
-    lines = []
-    for key, (section, name, _, fmt) in _KEYS.items():
-        owner = getattr(cfg, section) if section else cfg
-        lines.append(f"{key} = {fmt(getattr(owner, name))}")
-    for name in sorted(cfg.interfaces):
-        lines += _field_lines(f"interface.{name}", cfg.interfaces[name],
-                              _INTERFACE_FIELDS)
-    for g in cfg.groups:
-        lines += _field_lines(f"group.{g.group_id}", g, _GROUP_FIELDS)
-    # default groups absent from cfg must be removed explicitly
-    present = {g.group_id for g in cfg.groups}
-    for gid in sorted({g.group_id for g in default_groups()} - present):
-        lines.append(f"group.{gid}.count = 0")
-    return "\n".join(lines) + "\n"
 
 
 # --- validation ------------------------------------------------------------

@@ -18,12 +18,6 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Path:
-    vertices: tuple[int, ...]
-    total_length: float
-
-
 @dataclass
 class MapGraph:
     """Immutable after construction; concurrent readers are safe."""
@@ -139,14 +133,15 @@ def parse_map(text: str) -> MapGraph:
 
 # --- queries ----------------------------------------------------------------
 
-def shortest_path(g: MapGraph, src: int, dst: int) -> Path:
-    """Minimum-length path; ties broken toward the lexicographically
-    smallest vertex sequence (smaller next-vertex index first)."""
+def shortest_path(g: MapGraph, src: int, dst: int) -> tuple[int, ...]:
+    """The vertices of a minimum-length path; ties broken toward the
+    lexicographically smallest vertex sequence (smaller next-vertex index
+    first)."""
     n = g.vertex_count()
     if not (0 <= src < n and 0 <= dst < n):
         raise MapError(f"vertex out of range: {src} or {dst}")
     if src == dst:
-        return Path((src,), 0.0)
+        return (src,)
 
     # distances to dst, then a greedy forward walk choosing the smallest
     # neighbor index that stays on a shortest path
@@ -176,11 +171,7 @@ def shortest_path(g: MapGraph, src: int, dst: int) -> Path:
                 break
         else:
             raise MapError("shortest-path reconstruction failed")
-
-    total = 0.0
-    for a, b in zip(seq, seq[1:]):
-        total += edge_length(g.vertices[a], g.vertices[b])
-    return Path(tuple(seq), total)
+    return tuple(seq)
 
 
 # --- synthetic stadium -------------------------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dtnsim import cli, engine, scenario
+from dtnsim import cli, engine, reports, scenario
 
 DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
 
@@ -343,6 +343,59 @@ def test_plot_single_row_csv(tiny_file, tmp_path):
 
 def test_plot_missing_file_exit2():
     assert cli.main(["plot", "/nonexistent.csv"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "plot"])
+def test_out_naming_a_file_exits_2_before_simulating(tiny_file, tmp_path, capsys,
+                                                     monkeypatch, command):
+    def never(*args):
+        raise AssertionError("simulated although --out cannot be used")
+
+    monkeypatch.setattr(engine, "run", never)
+    monkeypatch.setattr(engine, "record_contacts", never)
+    monkeypatch.setenv("DTNSIM_THREADS", "1")
+    csv_path = tmp_path / "metrics.csv"
+    reports.write_csv([("epidemic", 5_000_000, 1, reports.MetricsSummary())],
+                      str(csv_path))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"run": ["run", tiny_file],
+            "sweep": ["sweep", tiny_file, "--buffers", "5M", "--protocols",
+                      "epidemic", "--seeds", "1"],
+            "plot": ["plot", str(csv_path)]}[command]
+    assert cli.main(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(taken) in err[0], err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"protocol,buffer_bytes\ncaf\xe9\n"),
+], ids=["directory", "not-utf8"])
+def test_plot_unreadable_csv_exits_2_with_one_line(tmp_path, capsys, make):
+    csv_path = tmp_path / "metrics.csv"
+    make(csv_path)
+    out = tmp_path / "charts"
+    assert cli.main(["plot", str(csv_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(csv_path) in err[0], err
+    assert not out.exists()
+
+
+def test_run_and_sweep_report_findings_as_validate_does(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY + "buffer_size = 200k\nttl = -1\n")
+    assert cli.main(["validate", str(path)]) == 1
+    findings = capsys.readouterr().err
+    assert findings.count("\n") == 2
+    out = str(tmp_path / "out")
+    for argv in (["run", str(path), "--out", out],
+                 ["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
+                  "--seeds", "1", "--out", out]):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err == findings, argv
+    assert not (tmp_path / "out").exists()
 
 
 STADIUM_CFG = DESK_CFG.parent / "stadium.cfg"

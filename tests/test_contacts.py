@@ -149,7 +149,7 @@ def test_kinetic_matches_brute_force_with_a_motionless_mobile_group(monkeypatch)
 
 def test_kinetic_matches_brute_force_on_a_stadium_slice():
     cfg = scenario.parse_scenario(STADIUM_CFG.read_text())
-    assert cfg.group("ambulance").count > 0
+    assert any(g.group_id == "ambulance" for g in cfg.groups)
     cfg = dataclasses.replace(cfg, sim_duration=1200.0,
                               router=scenario.RouterConfig("spray-and-wait"))
     assert_matches_oracle(cfg, seed=3)

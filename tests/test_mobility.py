@@ -41,7 +41,7 @@ def test_mobile_node_starts_on_a_vertex_with_a_path():
     st = mobility.init_placement(AUDIENCE, g, random.Random(7), 0)
     assert st.mode == mobility.MOVING
     assert st.position in g.vertices
-    assert st.path is not None and len(st.path.vertices) >= 2
+    assert st.path is not None and len(st.path) >= 2
     assert 0.4 <= st.speed <= 1.0
 
 
@@ -49,7 +49,7 @@ def test_placement_deterministic_for_fixed_seed():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
     a = mobility.init_placement(AUDIENCE, g, random.Random(33), 2)
     b = mobility.init_placement(AUDIENCE, g, random.Random(33), 2)
-    assert (a.vertex, a.path.vertices, a.speed) == (b.vertex, b.path.vertices, b.speed)
+    assert (a.vertex, a.path, a.speed) == (b.vertex, b.path, b.speed)
 
 
 def test_plan_next_leg_never_targets_current_vertex():
@@ -57,10 +57,10 @@ def test_plan_next_leg_never_targets_current_vertex():
     st = mobility.init_placement(RUNNER, g, random.Random(5), 0)
     rng = random.Random(6)
     for _ in range(50):
-        st.vertex = st.path.vertices[-1]
+        st.vertex = st.path[-1]
         mobility.plan_next_leg(st, g, RUNNER, rng)
-        assert st.path.vertices[0] == st.vertex
-        assert st.path.vertices[-1] != st.vertex
+        assert st.path[0] == st.vertex
+        assert st.path[-1] != st.vertex
 
 
 def test_speed_drawn_within_group_range():
@@ -70,7 +70,7 @@ def test_speed_drawn_within_group_range():
     st = mobility.init_placement(amb, g, random.Random(1), 0)
     rng = random.Random(2)
     for _ in range(40):
-        st.vertex = st.path.vertices[-1]
+        st.vertex = st.path[-1]
         mobility.plan_next_leg(st, g, amb, rng)
         assert 3.0 <= st.speed <= 12.0
 
@@ -94,7 +94,7 @@ def test_step_progress_arithmetic_midpath():
     st.speed = 1.0
     mobility.step(st, 0.0, 2.0, g, RUNNER, random.Random(0))
     assert st.progress == 7.0
-    expected_x = 7.0 if st.path.vertices == (0, 1) else 3.0
+    expected_x = 7.0 if st.path == (0, 1) else 3.0
     assert st.position == (expected_x, 0.0)
 
 
@@ -106,7 +106,7 @@ def test_arrival_truncates_overshoot_and_pauses():
     mobility.step(st, 100.0, 2.0, g, RUNNER, random.Random(0))
     assert st.mode == mobility.PAUSED
     assert st.progress == 10.0
-    assert st.position == g.vertices[st.path.vertices[-1]]
+    assert st.position == g.vertices[st.path[-1]]
     # zero pause range: resumes exactly at the next tick boundary
     assert st.pause_until == 102.0
 

@@ -5,7 +5,7 @@ import pytest
 
 from dtnsim import reports
 from dtnsim.reports import (MetricsSummary, compute_metrics, median_by_group,
-                            read_csv, render_bar_chart, write_csv)
+                            parse_csv, render_bar_chart, write_csv)
 
 HAND_LOG = [
     (0.0, "CREATED", "M1", 0, 5, 0, "-"),
@@ -112,7 +112,7 @@ def test_csv_roundtrip_and_float_format(tmp_path):
     write_csv([("epidemic", 5_000_000, 1, summary)], str(path))
     text = path.read_text()
     assert "0.333333" in text
-    rows = read_csv(str(path))
+    rows = parse_csv(path.read_text())
     assert rows[0]["protocol"] == "epidemic"
     assert rows[0]["buffer_bytes"] == 5_000_000
     assert rows[0]["delivery_probability"] == pytest.approx(1 / 3, abs=1e-6)
@@ -123,15 +123,15 @@ def test_nan_round_trips_via_csv(tmp_path):
     s = MetricsSummary()
     s.created = 10
     write_csv([("epidemic", 5_000_000, 1, s)], str(path))
-    rows = read_csv(str(path))
+    rows = parse_csv(path.read_text())
     assert math.isnan(rows[0]["overhead_ratio"])
 
 
 def test_read_csv_names_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("protocol,buffer_bytes,seed\nepidemic,5,1\n")
-    with pytest.raises(ValueError, match="delivery_probability"):
-        read_csv(str(path))
+    with pytest.raises(reports.CsvError, match="delivery_probability"):
+        parse_csv(path.read_text())
 
 
 # --- charts -----------------------------------------------------------------------

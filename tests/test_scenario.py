@@ -6,11 +6,16 @@ import pytest
 
 from dtnsim import cli, engine
 from dtnsim.scenario import (_GROUP_FIELDS, _INTERFACE_FIELDS, _KEYS,
-                             ScenarioError, default_scenario, expand_sweep,
-                             parse_duration, parse_scenario, parse_size,
-                             serialize_scenario, validate)
+                             GroupConfig, InterfaceConfig, MapSpec, RouterConfig,
+                             ScenarioError, TrafficConfig, default_scenario,
+                             expand_sweep, parse_duration, parse_scenario,
+                             parse_size, validate)
 
 STADIUM_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cfg"
+
+
+def group(cfg, group_id: str) -> GroupConfig:
+    return next(g for g in cfg.groups if g.group_id == group_id)
 
 
 def test_empty_text_yields_default_stadium():
@@ -55,7 +60,7 @@ def test_duration_suffixes():
 
 def test_mobile_group_pause_defaults_to_0_120():
     cfg = parse_scenario("group.walkers.count = 3\ngroup.walkers.roles = message_source")
-    assert cfg.group("walkers").pause_range == (0.0, 120.0)
+    assert group(cfg, "walkers").pause_range == (0.0, 120.0)
 
 
 def test_interval_range_min_above_max_is_an_error():
@@ -138,7 +143,7 @@ def test_group_count_zero_removes_group():
 
 def test_group_overrides_merge_with_defaults():
     cfg = parse_scenario("group.audience.count = 10\ngroup.audience.speed = 0.2,0.5")
-    g = cfg.group("audience")
+    g = group(cfg, "audience")
     assert g.count == 10
     assert g.speed_range == (0.2, 0.5)
     assert g.pause_range == (0.0, 120.0)          # untouched default
@@ -147,10 +152,10 @@ def test_group_overrides_merge_with_defaults():
 
 def test_stationary_movement_forces_zero_speed_unless_explicit():
     cfg = parse_scenario("group.kiosk.count = 1\ngroup.kiosk.movement = stationary")
-    assert cfg.group("kiosk").speed_range == (0.0, 0.0)
+    assert group(cfg, "kiosk").speed_range == (0.0, 0.0)
     for text in ("group.kiosk.movement = stationary\ngroup.kiosk.speed = 1,2",
                  "group.kiosk.speed = 1,2\ngroup.kiosk.movement = stationary"):
-        assert parse_scenario(text).group("kiosk").speed_range == (1.0, 2.0)
+        assert group(parse_scenario(text), "kiosk").speed_range == (1.0, 2.0)
 
 
 def test_validate_buffer_smaller_than_max_message():
@@ -182,14 +187,31 @@ def test_router_defaults_spray_l10_binary():
     assert cfg.router.binary_mode is True
 
 
-def test_roundtrip_default_and_custom():
-    for text in (
-        "",
-        "router.protocol = spray-and-wait\nrouter.copies = 4\nrouter.binary = false",
+def test_every_key_parses_into_its_field():
+    """Four texts that set every key between them, the bufferSize alias
+    included, against the configs they mean, written out from the default."""
+    d = default_scenario()
+    replace = dataclasses.replace
+
+    def regroup(changes: dict, added: tuple = (), removed: str = "") -> tuple:
+        return tuple(replace(g, **changes.get(g.group_id, {})) for g in d.groups
+                     if g.group_id != removed) + added
+
+    cases = {
+        "": d,
+        "router.protocol = spray-and-wait\nrouter.copies = 4\nrouter.binary = false":
+            replace(d, router=RouterConfig("spray-and-wait", 4, False)),
         "group.media.count = 0\ngroup.drones.count = 3\n"
         "group.drones.speed = 5,9\ngroup.drones.interfaces = wifi\n"
         "interface.lora.bandwidth = 50k\ninterface.lora.range = 2000\n"
-        "map.ring_radius = 300\nseed = 77\nbuffer_size = 15M",
+        "map.ring_radius = 300\nseed = 77\nbuffer_size = 15M":
+            replace(d, groups=regroup(
+                        {}, (GroupConfig("drones", 3, speed_range=(5.0, 9.0),
+                                         interfaces=("wifi",)),), removed="media"),
+                    interfaces={**d.interfaces,
+                                "lora": InterfaceConfig("lora", 50_000.0, 2000.0)},
+                    map_source=replace(d.map_source, ring_radius=300.0),
+                    seed=77, buffer_bytes=15_000_000),
         "sim_duration = 90m\ntick = 0.5\nttl = 2h\ninterval_range = 12.5,40\n"
         "size_range = 5k,250k\nmap = roads/stadium.wkt\nmap.exit_count = 5\n"
         "map.road_length = 87.5\nbufferSize = 7500k\n"
@@ -198,10 +220,22 @@ def test_roundtrip_default_and_custom():
         "group.kiosk.roles = message_destination,message_source\n"
         "group.audience.pause = 1.5,300\ngroup.audience.roles =\n"
         "group.sensors.movement = shortest-path-map-based\n"
-        "group.sensors.speed = 0.25,0.75",
-    ):
-        cfg = parse_scenario(text)
-        assert parse_scenario(serialize_scenario(cfg)) == cfg
+        "group.sensors.speed = 0.25,0.75":
+            replace(d, sim_duration=5400.0, tick=0.5, buffer_bytes=7_500_000,
+                    traffic=TrafficConfig((12.5, 40.0), (5_000, 250_000), 7200.0),
+                    map_source=MapSpec("roads/stadium.wkt", 120.0, 5, 87.5),
+                    groups=regroup(
+                        {"audience": {"pause_range": (1.5, 300.0), "role_flags": ()},
+                         "sensors": {"movement": "shortest-path-map-based",
+                                     "speed_range": (0.25, 0.75)}},
+                        (GroupConfig("kiosk", 2, "stationary", (0.0, 0.0),
+                                     interfaces=("wifi", "bluetooth"),
+                                     role_flags=("message_destination",
+                                                 "message_source"),
+                                     placement="exit"),))),
+    }
+    for text, expected in cases.items():
+        assert parse_scenario(text) == expected, text
 
 
 def test_expand_sweep_buffer_axis():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dtnsim.worldmap import (MapError, MapGraph, build_graph,
+from dtnsim.worldmap import (MapError, MapGraph, build_graph, edge_length,
                              generate_stadium_map, parse_map, shortest_path)
 
 
@@ -30,6 +30,12 @@ def brute_force_min_path(g: MapGraph, src: int, dst: int):
 
     dfs(src, {src}, [src], 0.0)
     return best
+
+
+def path_length(g: MapGraph, path: tuple[int, ...]) -> float:
+    """The summed edge lengths along ``path``."""
+    return sum(edge_length(g.vertices[a], g.vertices[b])
+               for a, b in zip(path, path[1:]))
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 8) -> MapGraph:
@@ -114,8 +120,8 @@ def test_serialize_roundtrips_edge_set():
 def test_shortest_path_identity():
     g = parse_map("LINESTRING (0 0, 10 0)")
     p = shortest_path(g, 1, 1)
-    assert p.vertices == (1,)
-    assert p.total_length == 0.0
+    assert p == (1,)
+    assert path_length(g, p) == 0.0
 
 
 def test_four_cycle_takes_shorter_arc():
@@ -123,9 +129,9 @@ def test_four_cycle_takes_shorter_arc():
     g = build_graph([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (0.0, 1.0)],
                     [(0, 1), (1, 2), (2, 3), (3, 0)])
     p = shortest_path(g, 0, 2)
-    assert p.vertices == (0, 3, 2)
-    assert p.total_length == pytest.approx(1.0 + math.sqrt(18.0), abs=1e-12)
-    assert brute_force_min_path(g, 0, 2)[1] == p.vertices
+    assert p == (0, 3, 2)
+    assert path_length(g, p) == pytest.approx(1.0 + math.sqrt(18.0), abs=1e-12)
+    assert brute_force_min_path(g, 0, 2)[1] == p
 
 
 def test_equal_length_tie_prefers_lexicographic_path():
@@ -133,7 +139,7 @@ def test_equal_length_tie_prefers_lexicographic_path():
     g = build_graph([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (1.0, -1.0)],
                     [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = shortest_path(g, 0, 2)
-    assert p.vertices == (0, 1, 2)
+    assert p == (0, 1, 2)
     assert brute_force_min_path(g, 0, 2)[1] == (0, 1, 2)
 
 
@@ -145,8 +151,8 @@ def test_shortest_path_matches_brute_force_on_random_graphs():
         src, dst = rng.randrange(n), rng.randrange(n)
         length, seq = brute_force_min_path(g, src, dst)
         p = shortest_path(g, src, dst)
-        assert p.vertices == seq
-        assert p.total_length == pytest.approx(length, abs=1e-9)
+        assert p == seq
+        assert path_length(g, p) == pytest.approx(length, abs=1e-9)
 
 
 def test_triangle_inequality_on_random_graphs():
@@ -154,7 +160,7 @@ def test_triangle_inequality_on_random_graphs():
     for _ in range(10):
         g = random_connected_graph(rng, max_vertices=7)
         n = g.vertex_count()
-        dist = [[shortest_path(g, i, j).total_length for j in range(n)]
+        dist = [[path_length(g, shortest_path(g, i, j)) for j in range(n)]
                 for i in range(n)]
         for a in range(n):
             for b in range(n):
