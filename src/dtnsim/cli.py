@@ -51,6 +51,20 @@ def _out_dir(path: str) -> str:
     return path
 
 
+def _write_events(events, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for time, kind, msg_id, a, b, hops, reason in events:
+            fh.write(f"{time:.15g}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
+
+
+def _print_summary(s: reports.MetricsSummary) -> None:
+    print(f"delivery_probability = {s.delivery_probability:.6g}")
+    print(f"latency_avg_s        = {s.latency_avg:.6g}")
+    print(f"overhead_ratio       = {s.overhead_ratio:.6g}")
+    print(f"hopcount_avg         = {s.hopcount_avg:.6g}")
+    print(f"dropped              = {s.dropped_total}")
+
+
 def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
     """Scenario invariants and, once those hold, whether the map builds."""
     findings = scenario.validate(cfg)
@@ -71,43 +85,6 @@ def _load_scenario(path: str) -> tuple[str, scenario.ScenarioConfig]:
     if findings:
         raise Findings(*findings)
     return text, cfg
-
-
-def _flag(flag: str, text: str, parse):
-    """``parse(text)``; a value it rejects is a usage error."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
-def _axis(flag: str, text: str, parse) -> list:
-    """The parsed values of a comma-separated sweep axis, none repeated."""
-    values = [_flag(flag, item, parse) for item in text.split(",") if item]
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise UsageError(f"{flag} repeats {value}")
-    return values
-
-
-def _protocol(text: str) -> str:
-    if text not in scenario.PROTOCOLS:
-        raise ValueError(f"unknown protocol {text!r}")
-    return text
-
-
-def _write_events(events, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for time, kind, msg_id, a, b, hops, reason in events:
-            fh.write(f"{time:.15g}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
-
-
-def _print_summary(s: reports.MetricsSummary) -> None:
-    print(f"delivery_probability = {s.delivery_probability:.6g}")
-    print(f"latency_avg_s        = {s.latency_avg:.6g}")
-    print(f"overhead_ratio       = {s.overhead_ratio:.6g}")
-    print(f"hopcount_avg         = {s.hopcount_avg:.6g}")
-    print(f"dropped              = {s.dropped_total}")
 
 
 def cmd_validate(args) -> None:
@@ -170,6 +147,29 @@ def plot_csv(csv_path: str, out_dir: str) -> list[str]:
         reports.render_bar_chart(metric, rows, path)
         written.append(path)
     return written
+
+
+def _flag(flag: str, text: str, parse):
+    """``parse(text)``; a value it rejects is a usage error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _axis(flag: str, text: str, parse) -> list:
+    """The parsed values of a comma-separated sweep axis, none repeated."""
+    values = [_flag(flag, item, parse) for item in text.split(",") if item]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{flag} repeats {value}")
+    return values
+
+
+def _protocol(text: str) -> str:
+    if text not in scenario.PROTOCOLS:
+        raise ValueError(f"unknown protocol {text!r}")
+    return text
 
 
 def cmd_sweep(args) -> None:

@@ -34,8 +34,17 @@ REASON_OVERFLOW = "buffer-overflow"
 REASON_TTL = "ttl-expiry"
 REASON_CONTACT_DOWN = "contact-down"
 
+def _metric(text: str) -> float:
+    """A metric value as written: finite, or nan for a ratio with nothing
+    to divide by.  An infinity would break the charts' scales."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text!r} is infinite")
+    return value
+
+
 # The metrics CSV, one row per column in file order: (CSV column,
-# MetricsSummary field, type).  The first three columns name the run and
+# MetricsSummary field, parser).  The first three columns name the run and
 # have no summary field.
 _COLUMNS = (
     ("protocol", None, str),
@@ -49,10 +58,10 @@ _COLUMNS = (
     ("dropped_ttl", "dropped_ttl", int),
     ("aborted", "aborted", int),
     ("duplicates", "duplicates", int),
-    ("delivery_probability", "delivery_probability", float),
-    ("latency_avg_s", "latency_avg", float),
-    ("overhead_ratio", "overhead_ratio", float),
-    ("hopcount_avg", "hopcount_avg", float),
+    ("delivery_probability", "delivery_probability", _metric),
+    ("latency_avg_s", "latency_avg", _metric),
+    ("overhead_ratio", "overhead_ratio", _metric),
+    ("hopcount_avg", "hopcount_avg", _metric),
 )
 CSV_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
 
@@ -171,9 +180,9 @@ def parse_csv(text: str) -> list[dict]:
         if len(parts) != len(header):
             raise CsvError(f"malformed CSV row: {ln!r}")
         row = dict(zip(header, parts))
-        for column, _, kind in _COLUMNS:
+        for column, _, parse in _COLUMNS:
             try:
-                row[column] = kind(row[column])
+                row[column] = parse(row[column])
             except ValueError:
                 raise CsvError(f"bad {column} value {row[column]!r}") from None
         rows.append(row)

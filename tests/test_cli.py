@@ -331,6 +331,25 @@ def test_plot_missing_column_names_it(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    ("latency_avg_s", "inf"),
+    ("buffer_bytes", "5M"),
+])
+def test_plot_bad_csv_value_exits_1_with_one_line(tmp_path, capsys, column, value):
+    # two buffer sizes, so that an infinite median would ask for a log scale
+    path = tmp_path / "metrics.csv"
+    reports.write_csv([("epidemic", b, 1, reports.MetricsSummary(latency_avg=10.0))
+                       for b in (5_000_000, 20_000_000)], str(path))
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    cells = lines[1].split(",")
+    cells[at] = value
+    path.write_text("\n".join([lines[0], ",".join(cells), lines[2]]) + "\n")
+    assert cli.main(["plot", str(path), "--out", str(tmp_path / "charts")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"bad {column} value {value!r}" in err[0], err
+
+
 def test_plot_single_row_csv(tiny_file, tmp_path):
     out = tmp_path / "one"
     assert cli.main(["run", tiny_file, "--out", str(out)]) == 0
