@@ -42,13 +42,12 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _out_dir(path: str) -> str:
-    """``path``, made a directory before anything is simulated or written."""
+def _out_dir(path: str) -> None:
+    """Make ``path`` a directory, before anything is simulated or written."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use --out {path}: {exc}") from None
-    return path
 
 
 def _write_events(events, path: str) -> None:
@@ -95,12 +94,12 @@ def cmd_run(args) -> None:
     _, cfg = _load_scenario(args.config)
     seed = cfg.seed if args.seed is None else _flag("--seed", args.seed,
                                                     scenario.parse_seed)
-    out = _out_dir(args.out)
+    _out_dir(args.out)
     events, summary = engine.run(cfg, seed)
     reports.write_csv([(cfg.router.protocol, cfg.buffer_bytes, seed, summary)],
-                      os.path.join(out, "metrics.csv"))
+                      os.path.join(args.out, "metrics.csv"))
     if args.events:
-        _write_events(events, os.path.join(out, "events.tsv"))
+        _write_events(events, os.path.join(args.out, "events.tsv"))
     _print_summary(summary)
 
 
@@ -121,9 +120,8 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
     than one, a process pool takes the recordings, then the runs.
     """
     base = scenario.parse_scenario(config_text)
-    cfgs = [cfg for by_protocol in scenario.expand_sweep(base, "router.protocol",
-                                                         protocols)
-            for cfg in scenario.expand_sweep(by_protocol, "buffer_bytes", buffers)]
+    cfgs = [cfg for p in scenario.expand_sweep(base, "router.protocol", protocols)
+            for cfg in scenario.expand_sweep(p, "buffer_bytes", buffers)]
     workers = max(1, min(workers or os.cpu_count() or 1, len(cfgs) * len(seeds)))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
@@ -183,11 +181,11 @@ def cmd_sweep(args) -> None:
     if not threads.isdecimal():
         raise UsageError(f"DTNSIM_THREADS must be a non-negative integer, "
                          f"got {threads!r}")
-    out = _out_dir(args.out)
+    _out_dir(args.out)
     results = sweep_runs(config_text, protocols, buffers, seeds, int(threads))
-    csv_path = os.path.join(out, "metrics.csv")
+    csv_path = os.path.join(args.out, "metrics.csv")
     reports.write_csv(results, csv_path)
-    charts = plot_csv(csv_path, out)
+    charts = plot_csv(csv_path, args.out)
     manifest = {
         "config": os.path.abspath(args.config),
         "protocols": protocols,
@@ -195,7 +193,8 @@ def cmd_sweep(args) -> None:
         "seeds": seeds,
         "artifacts": [csv_path] + charts,
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{len(results)} runs -> {csv_path}")

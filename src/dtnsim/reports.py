@@ -34,12 +34,12 @@ REASON_OVERFLOW = "buffer-overflow"
 REASON_TTL = "ttl-expiry"
 REASON_CONTACT_DOWN = "contact-down"
 
+
 def _metric(text: str) -> float:
-    """A metric value as written: finite, or nan for a ratio with nothing
-    to divide by.  An infinity would break the charts' scales."""
+    """A finite metric value or nan; an infinity would break chart scales."""
     value = float(text)
     if math.isinf(value):
-        raise ValueError(f"{text!r} is infinite")
+        raise ValueError("infinite")
     return value
 
 
@@ -160,13 +160,11 @@ def write_csv(summaries: list[tuple[str, int, int, MetricsSummary]],
 
 
 class CsvError(ValueError):
-    """A metrics CSV that does not hold the columns and values ``write_csv``
-    writes."""
+    """A metrics CSV unlike what ``write_csv`` writes."""
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Parse a metrics CSV's text back into row dicts (floats for metric
-    columns)."""
+    """A metrics CSV's text as row dicts (floats for metric columns)."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise CsvError("empty CSV")

@@ -452,10 +452,7 @@ def expand_sweep(cfg: ScenarioConfig, axis: str, values: list) -> list[ScenarioC
     if axis == "buffer_bytes":
         return [replace(cfg, buffer_bytes=int(v)) for v in values]
     if axis == "router.protocol":
-        out = []
-        for v in values:
-            if v not in PROTOCOLS:
-                raise ScenarioError(f"unknown protocol {v!r}")
-            out.append(replace(cfg, router=replace(cfg.router, protocol=v)))
-        return out
+        protocol = _choice(PROTOCOLS, "protocol")
+        return [replace(cfg, router=replace(cfg.router, protocol=protocol(v)))
+                for v in values]
     raise ScenarioError(f"axis {axis!r} is not sweepable (use one of {SWEEPABLE_AXES})")
