@@ -164,16 +164,10 @@ def _axis(flag: str, text: str, parse) -> list:
     return values
 
 
-def _protocol(text: str) -> str:
-    if text not in scenario.PROTOCOLS:
-        raise ValueError(f"unknown protocol {text!r}")
-    return text
-
-
 def cmd_sweep(args) -> None:
     config_text, _ = _load_scenario(args.config)
     buffers = _axis("--buffers", args.buffers, scenario.parse_size)
-    protocols = _axis("--protocols", args.protocols, _protocol)
+    protocols = _axis("--protocols", args.protocols, scenario.parse_protocol)
     seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
     if not buffers or not protocols or not seeds:
         raise UsageError("empty sweep axis")
@@ -226,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a protocol/buffer/seed cross product")
     p.add_argument("config")
     p.add_argument("--buffers", default="5M,10M,15M,20M")
-    p.add_argument("--protocols", default="epidemic,spray-and-wait")
+    p.add_argument("--protocols", default=",".join(scenario.PROTOCOLS))
     p.add_argument("--seeds", default="1")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)

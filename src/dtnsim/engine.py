@@ -108,11 +108,14 @@ class LiveContacts:
         members = [(group, member) for group in cfg.groups
                    for member in range(group.count)]
         for node_id, (group, member) in enumerate(members):
+            if group.movement == "stationary":
+                vertex = mobility.place(group, self.graph, member)
+                self.positions.append(self.graph.vertices[vertex])
+                continue
             rng = rng_stream(seed, f"mobility/{node_id}")
-            move = mobility.init_placement(group, self.graph, rng, member)
+            move = mobility.start(group, self.graph, rng)
             self.positions.append(move.position)
-            if group.movement != "stationary":
-                self.mobile.append((node_id, move, group, rng))
+            self.mobile.append((node_id, move, group, rng))
         self.detector = ContactDetector(
             [tuple(group.interfaces) for group, _ in members],
             {name: ic.range for name, ic in cfg.interfaces.items()},

@@ -1,9 +1,12 @@
 """Per-node movement: map-constrained random waypoints with pauses.
 
-Mobile nodes repeatedly pick a uniform random destination vertex, follow
-the shortest path at a per-leg speed drawn from the group's range, then
-pause for a draw from the group's pause range.  Arrival overshoot is
-truncated: the residual tick time is not carried into the next leg.
+A stationary node never moves: ``place`` gives its vertex, with no random
+draw.  A mobile node's movement state comes from ``start``: it begins at a
+uniform random vertex, then repeatedly picks a uniform random destination
+vertex, follows the shortest path at a per-leg speed drawn from the
+group's range, and pauses for a draw from the group's pause range.
+Arrival overshoot is truncated: the residual tick time is not carried into
+the next leg.
 """
 
 from __future__ import annotations
@@ -15,18 +18,17 @@ from .worldmap import MapGraph, shortest_path
 
 MOVING = "moving"
 PAUSED = "paused"
-STATIONARY = "stationary"
 
 
 class MovementState:
-    __slots__ = ("mode", "position", "vertex", "path", "seg_ends", "seg_cursor",
+    __slots__ = ("mode", "position", "path", "seg_ends", "seg_cursor",
                  "progress", "speed", "pause_until")
 
-    def __init__(self, mode: str, position: tuple[float, float], vertex: int):
-        self.mode = mode
+    def __init__(self, vertex: int, position: tuple[float, float]):
+        self.mode = MOVING
         self.position = position
-        self.vertex = vertex          # vertex at the end of the last completed leg
-        self.path: tuple[int, ...] | None = None
+        # the current leg; the next leg starts at its last vertex
+        self.path: tuple[int, ...] = (vertex,)
         self.seg_ends: list[float] = []
         self.seg_cursor = 0
         self.progress = 0.0
@@ -48,15 +50,14 @@ def _set_path(state: MovementState, graph: MapGraph, path: tuple[int, ...]) -> N
 
 
 def _interpolate(state: MovementState, graph: MapGraph) -> tuple[float, float]:
-    """Position at the current progress; advances the segment cursor."""
+    """Position at the current progress, short of arrival; advances the
+    segment cursor."""
     path = state.path
     ends = state.seg_ends
     cur = state.seg_cursor
-    while cur < len(ends) and state.progress > ends[cur]:
+    while state.progress > ends[cur]:
         cur += 1
     state.seg_cursor = cur
-    if cur >= len(ends):
-        return graph.vertices[path[-1]]
     a = graph.vertices[path[cur]]
     b = graph.vertices[path[cur + 1]]
     seg_start = ends[cur - 1] if cur > 0 else 0.0
@@ -65,62 +66,53 @@ def _interpolate(state: MovementState, graph: MapGraph) -> tuple[float, float]:
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
-def init_placement(group: GroupConfig, graph: MapGraph, rng: random.Random,
-                   member_index: int = 0) -> MovementState:
-    """Starting state for one node of the group.
+def place(group: GroupConfig, graph: MapGraph, member_index: int) -> int:
+    """The vertex of a stationary group's member ``member_index``: spread
+    evenly over the group's placement class (ring or exit vertices on
+    synthetic maps, all vertices otherwise)."""
+    if group.placement == "ring" and graph.ring_vertices:
+        pool = graph.ring_vertices
+    elif group.placement == "exit" and graph.exit_vertices:
+        pool = graph.exit_vertices
+    else:
+        pool = range(graph.vertex_count())
+    return pool[member_index * len(pool) // group.count]
 
-    Mobile nodes start at a uniform random vertex with a planned first leg.
-    Stationary nodes are spread evenly over their placement class (ring or
-    exit vertices on synthetic maps, all vertices otherwise).
-    """
-    if group.movement == "stationary":
-        pool: tuple[int, ...]
-        if group.placement == "ring" and graph.ring_vertices:
-            pool = graph.ring_vertices
-        elif group.placement == "exit" and graph.exit_vertices:
-            pool = graph.exit_vertices
-        else:
-            pool = tuple(range(graph.vertex_count()))
-        vertex = pool[(member_index * len(pool)) // max(group.count, 1) % len(pool)]
-        return MovementState(STATIONARY, graph.vertices[vertex], vertex)
 
+def start(group: GroupConfig, graph: MapGraph, rng: random.Random) -> MovementState:
+    """A mobile node at a uniform random vertex, its first leg planned."""
     vertex = rng.randrange(graph.vertex_count())
-    state = MovementState(MOVING, graph.vertices[vertex], vertex)
-    plan_next_leg(state, graph, group, rng)
-    return state
+    state = MovementState(vertex, graph.vertices[vertex])
+    return plan_next_leg(state, graph, group, rng)
 
 
 def plan_next_leg(state: MovementState, graph: MapGraph, group: GroupConfig,
                   rng: random.Random) -> MovementState:
-    """Pick a fresh destination (never the current vertex), path and speed."""
-    n = graph.vertex_count()
-    pick = rng.randrange(n - 1)
-    if pick >= state.vertex:
+    """Pick a fresh destination (never the current path's end), path and speed."""
+    vertex = state.path[-1]
+    pick = rng.randrange(graph.vertex_count() - 1)
+    if pick >= vertex:
         pick += 1
-    _set_path(state, graph, shortest_path(graph, state.vertex, pick))
+    _set_path(state, graph, shortest_path(graph, vertex, pick))
     state.speed = rng.uniform(group.speed_range[0], group.speed_range[1])
     state.mode = MOVING
-    state.position = graph.vertices[state.vertex]
     return state
 
 
 def step(state: MovementState, now: float, dt: float, graph: MapGraph,
          group: GroupConfig, rng: random.Random) -> MovementState:
     """Advance one tick covering [now, now + dt)."""
-    if state.mode == STATIONARY:
-        return state
     if state.mode == PAUSED:
         if state.pause_until > now:
             return state
         plan_next_leg(state, graph, group, rng)
 
     state.progress += state.speed * dt
-    total = state.seg_ends[-1] if state.seg_ends else 0.0
+    total = state.seg_ends[-1]
     if state.progress >= total:
         # arrival: truncate overshoot, pause starting at the tick boundary
         state.progress = total
-        state.vertex = state.path[-1]
-        state.position = graph.vertices[state.vertex]
+        state.position = graph.vertices[state.path[-1]]
         state.mode = PAUSED
         state.pause_until = now + dt + rng.uniform(group.pause_range[0],
                                                    group.pause_range[1])

@@ -25,10 +25,7 @@ from typing import NamedTuple
 
 from .netcore import BufferedCopy, Message
 from .reports import DELIVERED, DUPLICATE, RELAYED
-from .scenario import RouterConfig
-
-EPIDEMIC = "epidemic"
-SPRAY_AND_WAIT = "spray-and-wait"
+from .scenario import SPRAY_AND_WAIT, RouterConfig
 
 
 class Outcome(NamedTuple):

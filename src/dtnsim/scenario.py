@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 MOVEMENT_MODELS = ("shortest-path-map-based", "stationary")
-PROTOCOLS = ("epidemic", "spray-and-wait")
+EPIDEMIC = "epidemic"
+SPRAY_AND_WAIT = "spray-and-wait"
+PROTOCOLS = (EPIDEMIC, SPRAY_AND_WAIT)
 PLACEMENTS = ("anywhere", "ring", "exit")
 ROLE_FLAGS = ("message_source", "message_destination")
 
@@ -76,7 +78,7 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class RouterConfig:
-    protocol: str = "epidemic"
+    protocol: str = EPIDEMIC
     copy_budget: int = 10        # spray-and-wait only
     binary_mode: bool = True     # spray-and-wait only
 
@@ -231,6 +233,9 @@ def _choice(allowed: tuple[str, ...], what: str):
     return parse
 
 
+parse_protocol = _choice(PROTOCOLS, "protocol")
+
+
 # --- the scenario format: one row per key ----------------------------------
 
 # key -> (section, field, parse); section "" is ScenarioConfig itself,
@@ -243,7 +248,7 @@ _KEYS = {
     "ttl": ("traffic", "ttl", parse_duration),
     "interval_range": ("traffic", "interval_range", _pair(parse_duration)),
     "size_range": ("traffic", "size_range", _pair(parse_size)),
-    "router.protocol": ("router", "protocol", _choice(PROTOCOLS, "protocol")),
+    "router.protocol": ("router", "protocol", parse_protocol),
     "router.copies": ("router", "copy_budget", int),
     "router.binary": ("router", "binary_mode", _parse_bool),
     "map": ("map_source", "source", str),
@@ -373,7 +378,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
 
     if cfg.router.protocol not in PROTOCOLS:
         findings.append(f"router.protocol: unknown protocol {cfg.router.protocol!r}")
-    if cfg.router.protocol == "spray-and-wait" and cfg.router.copy_budget < 1:
+    if cfg.router.protocol == SPRAY_AND_WAIT and cfg.router.copy_budget < 1:
         findings.append("router.copies: copy budget must be >= 1")
 
     for name, iface in cfg.interfaces.items():
@@ -452,7 +457,6 @@ def expand_sweep(cfg: ScenarioConfig, axis: str, values: list) -> list[ScenarioC
     if axis == "buffer_bytes":
         return [replace(cfg, buffer_bytes=int(v)) for v in values]
     if axis == "router.protocol":
-        protocol = _choice(PROTOCOLS, "protocol")
-        return [replace(cfg, router=replace(cfg.router, protocol=protocol(v)))
+        return [replace(cfg, router=replace(cfg.router, protocol=parse_protocol(v)))
                 for v in values]
     raise ScenarioError(f"axis {axis!r} is not sweepable (use one of {SWEEPABLE_AXES})")

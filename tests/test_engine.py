@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dtnsim import engine, scenario
+from dtnsim import engine, mobility, scenario
 from dtnsim.engine import Simulation, SimulationError, rng_stream
 
 from conftest import (ScriptedSimulation, check_state, desk_config, run_script,
@@ -94,6 +94,30 @@ def test_mobility_trace_independent_of_protocol():
         sim_a.tick()
         sim_b.tick()
         assert sim_a.positions == sim_b.positions
+
+
+def test_live_contacts_move_mobile_nodes_only(tiny_config, monkeypatch):
+    """Stationary nodes are placed once: no movement state is stepped for
+    them, and their positions never change."""
+    stepped = []
+    step = mobility.step
+
+    def counted(state, *args):
+        stepped.append(state)
+        return step(state, *args)
+
+    monkeypatch.setattr(mobility, "step", counted)
+    live = engine.LiveContacts(tiny_config, 5)
+    groups = [g for g in tiny_config.groups for _ in range(g.count)]
+    still = [i for i, g in enumerate(groups) if g.movement == "stationary"]
+    assert still and [i for i, *_ in live.mobile] == [
+        i for i in range(len(groups)) if i not in still]
+    placed = [live.positions[i] for i in still]
+    for tick_index in range(200):
+        live.at(tick_index)
+        assert [live.positions[i] for i in still] == placed
+    assert len(stepped) == 200 * len(live.mobile)
+    assert {id(s) for s in stepped} == {id(move) for _, move, _, _ in live.mobile}
 
 
 def test_tick_count_is_ceil_duration_over_tick():

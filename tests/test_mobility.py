@@ -22,74 +22,57 @@ def line_map(length=10.0):
 def test_stationary_exit_node_sits_on_exit_vertex():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
     for i in range(EXITG.count):
-        st = mobility.init_placement(EXITG, g, random.Random(0), i)
-        assert st.mode == mobility.STATIONARY
-        assert st.vertex in g.exit_vertices
-        assert st.position == g.vertices[st.vertex]
+        assert mobility.place(EXITG, g, i) in g.exit_vertices
 
 
 def test_stationary_sensors_spread_over_ring():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
-    placed = [mobility.init_placement(SENSOR, g, random.Random(0), i).vertex
-              for i in range(SENSOR.count)]
+    placed = [mobility.place(SENSOR, g, i) for i in range(SENSOR.count)]
     assert all(v in g.ring_vertices for v in placed)
     assert len(set(placed)) == SENSOR.count
 
 
 def test_mobile_node_starts_on_a_vertex_with_a_path():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
-    st = mobility.init_placement(AUDIENCE, g, random.Random(7), 0)
+    st = mobility.start(AUDIENCE, g, random.Random(7))
     assert st.mode == mobility.MOVING
-    assert st.position in g.vertices
-    assert st.path is not None and len(st.path) >= 2
+    assert st.position == g.vertices[st.path[0]]
+    assert len(st.path) >= 2
     assert 0.4 <= st.speed <= 1.0
 
 
 def test_placement_deterministic_for_fixed_seed():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
-    a = mobility.init_placement(AUDIENCE, g, random.Random(33), 2)
-    b = mobility.init_placement(AUDIENCE, g, random.Random(33), 2)
-    assert (a.vertex, a.path, a.speed) == (b.vertex, b.path, b.speed)
+    a = mobility.start(AUDIENCE, g, random.Random(33))
+    b = mobility.start(AUDIENCE, g, random.Random(33))
+    assert (a.position, a.path, a.speed) == (b.position, b.path, b.speed)
 
 
 def test_plan_next_leg_never_targets_current_vertex():
     g = generate_stadium_map(80.0, 4, 40.0, random.Random(2))
-    st = mobility.init_placement(RUNNER, g, random.Random(5), 0)
+    st = mobility.start(RUNNER, g, random.Random(5))
     rng = random.Random(6)
     for _ in range(50):
-        st.vertex = st.path[-1]
+        vertex = st.path[-1]
         mobility.plan_next_leg(st, g, RUNNER, rng)
-        assert st.path[0] == st.vertex
-        assert st.path[-1] != st.vertex
+        assert st.path[0] == vertex
+        assert st.path[-1] != vertex
 
 
 def test_speed_drawn_within_group_range():
     g = generate_stadium_map(80.0, 4, 40.0, random.Random(2))
     amb = GroupConfig("ambulance", 1, "shortest-path-map-based", (3.0, 12.0),
                       (0.0, 0.0), ("bluetooth",))
-    st = mobility.init_placement(amb, g, random.Random(1), 0)
+    st = mobility.start(amb, g, random.Random(1))
     rng = random.Random(2)
     for _ in range(40):
-        st.vertex = st.path[-1]
         mobility.plan_next_leg(st, g, amb, rng)
         assert 3.0 <= st.speed <= 12.0
 
 
-def test_stationary_step_is_identity():
-    g = line_map()
-    st = mobility.init_placement(
-        GroupConfig("s", 1, "stationary", (0.0, 0.0)), g, random.Random(0), 0)
-    before = st.position
-    for t in range(10):
-        mobility.step(st, float(t), 1.0, g,
-                      GroupConfig("s", 1, "stationary", (0.0, 0.0)),
-                      random.Random(0))
-    assert st.position == before
-
-
 def test_step_progress_arithmetic_midpath():
     g = line_map(10.0)
-    st = mobility.init_placement(RUNNER, g, random.Random(0), 0)
+    st = mobility.start(RUNNER, g, random.Random(0))
     st.progress = 5.0
     st.speed = 1.0
     mobility.step(st, 0.0, 2.0, g, RUNNER, random.Random(0))
@@ -100,7 +83,7 @@ def test_step_progress_arithmetic_midpath():
 
 def test_arrival_truncates_overshoot_and_pauses():
     g = line_map(10.0)
-    st = mobility.init_placement(RUNNER, g, random.Random(0), 0)
+    st = mobility.start(RUNNER, g, random.Random(0))
     st.progress = 9.5
     st.speed = 1.0
     mobility.step(st, 100.0, 2.0, g, RUNNER, random.Random(0))
@@ -115,7 +98,7 @@ def test_pause_draw_within_range_and_resume():
     g = line_map(4.0)
     group = GroupConfig("a", 1, "shortest-path-map-based", (1.0, 1.0),
                         (10.0, 20.0), ("bluetooth",))
-    st = mobility.init_placement(group, g, random.Random(3), 0)
+    st = mobility.start(group, g, random.Random(3))
     rng = random.Random(4)
     now = 0.0
     while st.mode == mobility.MOVING:
@@ -148,7 +131,7 @@ def test_displacement_bound_and_on_edge_invariant():
     g = generate_stadium_map(120.0, 6, 80.0, random.Random(8))
     group = GroupConfig("a", 1, "shortest-path-map-based", (0.4, 1.0),
                         (0.0, 5.0), ("bluetooth",))
-    st = mobility.init_placement(group, g, random.Random(11), 0)
+    st = mobility.start(group, g, random.Random(11))
     rng = random.Random(12)
     dt = 1.0
     prev = st.position
@@ -164,7 +147,7 @@ def test_oscillation_distance_accounting_on_single_edge():
     g = line_map(10.0)
     group = GroupConfig("a", 1, "shortest-path-map-based", (0.7, 0.7),
                         (0.0, 0.0), ("bluetooth",))
-    st = mobility.init_placement(group, g, random.Random(1), 0)
+    st = mobility.start(group, g, random.Random(1))
     rng = random.Random(2)
     legs = 0
     advancing_ticks = 0
@@ -183,12 +166,3 @@ def test_oscillation_distance_accounting_on_single_edge():
     ideal = 0.7 * advancing_ticks * 1.0
     assert abs(ideal - traveled) <= legs * 0.7 * 1.0 + 1e-9
     assert legs >= 30
-
-
-def test_stationary_group_positions_never_change_over_run():
-    g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
-    st = mobility.init_placement(SENSOR, g, random.Random(0), 1)
-    start = st.position
-    for t in range(200):
-        mobility.step(st, float(t), 1.0, g, SENSOR, random.Random(0))
-    assert st.position == start
