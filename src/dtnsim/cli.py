@@ -109,6 +109,19 @@ def _sweep_worker(job) -> tuple[str, int, int, reports.MetricsSummary]:
     return cfg.router.protocol, cfg.buffer_bytes, seed, summary
 
 
+def _sweep_configs(base: scenario.ScenarioConfig, protocols: list[str],
+                   buffers: list[int]) -> list[scenario.ScenarioConfig]:
+    """The protocol x buffer configs of a sweep, each checked before any
+    runs; every finding is raised, named by its run."""
+    cfgs = [cfg for p in scenario.expand_sweep(base, "router.protocol", protocols)
+            for cfg in scenario.expand_sweep(p, "buffer_bytes", buffers)]
+    findings = [f"{cfg.router.protocol} {reports.format_bytes(cfg.buffer_bytes)}: "
+                f"{finding}" for cfg in cfgs for finding in scenario.validate(cfg)]
+    if findings:
+        raise Findings(*findings)
+    return cfgs
+
+
 def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
                seeds: list[int], workers: int | None = None,
                ) -> list[tuple[str, int, int, reports.MetricsSummary]]:
@@ -120,8 +133,7 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
     than one, a process pool takes the recordings, then the runs.
     """
     base = scenario.parse_scenario(config_text)
-    cfgs = [cfg for p in scenario.expand_sweep(base, "router.protocol", protocols)
-            for cfg in scenario.expand_sweep(p, "buffer_bytes", buffers)]
+    cfgs = _sweep_configs(base, protocols, buffers)
     workers = max(1, min(workers or os.cpu_count() or 1, len(cfgs) * len(seeds)))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
@@ -165,7 +177,7 @@ def _axis(flag: str, text: str, parse) -> list:
 
 
 def cmd_sweep(args) -> None:
-    config_text, _ = _load_scenario(args.config)
+    config_text, cfg = _load_scenario(args.config)
     buffers = _axis("--buffers", args.buffers, scenario.parse_size)
     protocols = _axis("--protocols", args.protocols, scenario.parse_protocol)
     seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
@@ -175,6 +187,7 @@ def cmd_sweep(args) -> None:
     if not threads.isdecimal():
         raise UsageError(f"DTNSIM_THREADS must be a non-negative integer, "
                          f"got {threads!r}")
+    _sweep_configs(cfg, protocols, buffers)
     _out_dir(args.out)
     results = sweep_runs(config_text, protocols, buffers, seeds, int(threads))
     csv_path = os.path.join(args.out, "metrics.csv")

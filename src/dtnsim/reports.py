@@ -287,7 +287,7 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
             parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{y - 4:.2f}" '
                          f'text-anchor="middle" font-family="sans-serif" '
                          f'font-size="10" fill="#333">{label}</text>')
-        label = _format_bytes(buf)
+        label = format_bytes(buf)
         parts.append(f'<text x="{gx + group_w / 2:.2f}" y="{top + plot_h + 18}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12" fill="#222">{label}</text>')
@@ -314,7 +314,7 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
     return svg
 
 
-def _format_bytes(n: int) -> str:
+def format_bytes(n: int) -> str:
     if n % 1_000_000 == 0:
         return f"{n // 1_000_000}M"
     if n % 1000 == 0:

@@ -342,6 +342,16 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 # --- validation ------------------------------------------------------------
 
+def _last_tick_start(cfg: ScenarioConfig) -> float:
+    """The clock of a run's last tick (sim_duration and tick > 0): tick k
+    starts at k * tick while that is below sim_duration.  The search starts
+    past the quotient's ceiling, in case the quotient rounds down."""
+    k = math.ceil(cfg.sim_duration / cfg.tick) + 1
+    while k * cfg.tick >= cfg.sim_duration:
+        k -= 1
+    return k * cfg.tick
+
+
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Check every invariant; returns one finding string per violation."""
     findings: list[str] = []
@@ -358,6 +368,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     elif cfg.sim_duration > MAX_MESSAGES * min_interval > 0:
         findings.append(f"interval_range: up to {cfg.sim_duration / min_interval:.3g}"
                         f" messages exceed the limit of {MAX_MESSAGES:.0e}")
+    elif cfg.sim_duration > 0 and (last := _last_tick_start(cfg)) < min_interval:
+        findings.append(f"sim_duration: no message can be created: the last tick "
+                        f"starts at {last:g} s, before the smallest interval_range "
+                        f"value ({min_interval:g} s)")
 
     if cfg.buffer_bytes < cfg.traffic.size_range[1]:
         findings.append(

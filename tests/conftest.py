@@ -31,6 +31,7 @@ group.exits.count = 2
 # effectively instant interface and near-infinite buffers
 SCRIPT_TEXT = """
 sim_duration = {duration}
+interval_range = 1,1
 buffer_size = 1000000M
 ttl = {ttl}
 group.audience.count = 0

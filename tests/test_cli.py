@@ -471,3 +471,50 @@ def test_outputs_match_pinned_digests(tmp_path, run):
     digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("events.tsv", "metrics.csv")]
     assert digests == pinned
+
+
+@pytest.mark.parametrize("extra, axes, findings", [
+    ("", ["--buffers", "5M,100k", "--protocols", "epidemic"],
+     ["epidemic 100k: buffer_size: buffer smaller than max message "
+      "(100000 < 300000)"]),
+    # the file's own protocol is epidemic, so its copy budget passes validate
+    ("router.copies = 0\n", [],
+     [f"spray-and-wait {size}: router.copies: copy budget must be >= 1"
+      for size in ("5M", "10M", "15M", "20M")]),
+], ids=["small-buffer", "spray-copies-0"])
+def test_sweep_checks_every_run_before_simulating(tmp_path, capsys, monkeypatch,
+                                                  extra, axes, findings):
+    def never(*args):
+        raise AssertionError("simulated although a run has findings")
+
+    monkeypatch.setattr(engine, "run", never)
+    monkeypatch.setattr(engine, "record_contacts", never)
+    monkeypatch.setenv("DTNSIM_THREADS", "1")
+    path = tmp_path / "desk.cfg"
+    path.write_text(DESK_CFG.read_text() + extra)
+    out = tmp_path / "sweep-bad"
+    assert cli.main(["sweep", str(path), *axes, "--seeds", "1",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == findings
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["sim_duration = 30", "sim_duration = 2h\ntick = 7200"],
+                         ids=["duration-30", "tick-7200"])
+def test_runs_that_can_create_no_message_exit_1(tmp_path, capsys, edit):
+    # desk messages come at least 30 s apart: a run whose last tick starts
+    # at 30 s can create one, a run whose last tick starts earlier cannot
+    text = DESK_CFG.read_text()
+    path = tmp_path / "desk.cfg"
+    path.write_text(text.replace("sim_duration = 2h", "sim_duration = 31"))
+    assert cli.main(["validate", str(path)]) == 0
+    path.write_text(text.replace("sim_duration = 2h", edit))
+    out = str(tmp_path / "out")
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "--out", out],
+                 ["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
+                  "--seeds", "1", "--out", out]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "no message can be created" in err[0], (argv, err)
+    assert not (tmp_path / "out").exists()

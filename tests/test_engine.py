@@ -122,8 +122,8 @@ def test_live_contacts_move_mobile_nodes_only(tiny_config, monkeypatch):
 
 def test_tick_count_is_ceil_duration_over_tick():
     cfg = scenario.parse_scenario(
-        "sim_duration = 10\ntick = 3\ngroup.audience.count = 2\n"
-        "group.rescue.count = 1\ngroup.ambulance.count = 0\n"
+        "sim_duration = 10\ntick = 3\ninterval_range = 1,1\n"
+        "group.audience.count = 2\ngroup.rescue.count = 1\ngroup.ambulance.count = 0\n"
         "group.media.count = 0\ngroup.sensors.count = 0\ngroup.exits.count = 0\n"
         "map.exit_count = 2")
     sim = Simulation(cfg, seed=1)
@@ -159,6 +159,7 @@ def test_message_created_mid_contact_still_flows():
 def test_contact_break_aborts_in_same_tick():
     text = """
 sim_duration = 10
+interval_range = 1,1
 buffer_size = 10M
 group.audience.count = 0
 group.rescue.count = 0
@@ -188,6 +189,7 @@ interface.slow.range = 1
 def test_slow_transfer_completes_across_ticks():
     text = """
 sim_duration = 10
+interval_range = 1,1
 buffer_size = 10M
 group.audience.count = 0
 group.rescue.count = 0
@@ -213,6 +215,7 @@ interface.slow.range = 1
 def test_expired_inflight_transfer_aborts():
     text = """
 sim_duration = 10
+interval_range = 1,1
 buffer_size = 10M
 ttl = 2
 group.audience.count = 0
@@ -246,6 +249,7 @@ def test_lost_transfer_moves_no_bytes_and_frees_its_slot_at_once():
     the next offer on its slot gets the whole tick budget."""
     text = """
 sim_duration = 10
+interval_range = 1,1
 buffer_size = 10M
 group.audience.count = 0
 group.rescue.count = 0
@@ -287,6 +291,7 @@ def test_no_buffered_copy_outlives_its_ttl(protocol):
 def test_queue_sends_destination_match_first_then_oldest():
     text = """
 sim_duration = 20
+interval_range = 1,1
 buffer_size = 10M
 group.audience.count = 0
 group.rescue.count = 0

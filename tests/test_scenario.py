@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from pathlib import Path
 
@@ -173,6 +174,24 @@ def test_validate_undeclared_interface_names_group_and_interface():
 def test_validate_tick_exceeding_duration():
     cfg = dataclasses.replace(default_scenario(), tick=100.0, sim_duration=10.0)
     assert any("tick" in f for f in validate(cfg))
+
+
+@pytest.mark.parametrize("duration, tick", [
+    (10.0, 3.0), (9.0, 3.0), (31.0, 1.0), (0.3, 0.1), (0.7, 0.1)])
+def test_validate_needs_a_tick_at_or_after_the_smallest_interval(duration, tick):
+    # the engine runs tick k at k * tick while that is below sim_duration,
+    # and 3 * 0.1 is not below 0.3
+    k = 0
+    while (k + 1) * tick < duration:
+        k += 1
+    last = k * tick
+    base = dataclasses.replace(default_scenario(), sim_duration=duration, tick=tick)
+    for first, findings in ((last, 0), (math.nextafter(last, math.inf), 1)):
+        cfg = dataclasses.replace(base, traffic=TrafficConfig(
+            interval_range=(first, first + 1)))
+        found = validate(cfg)
+        assert len(found) == findings, (first, found)
+        assert all("no message can be created" in f for f in found)
 
 
 def test_validate_spray_copy_budget():
