@@ -1,7 +1,7 @@
 import math
 import random
 
-from dtnsim import mobility
+from dtnsim import engine, mobility
 from dtnsim.scenario import GroupConfig
 from dtnsim.worldmap import build_graph, generate_stadium_map
 
@@ -68,6 +68,23 @@ def test_speed_drawn_within_group_range():
     for _ in range(40):
         mobility.plan_next_leg(st, g, amb, rng)
         assert 3.0 <= st.speed <= 12.0
+
+
+def test_stationary_step_is_identity(tiny_config):
+    """A stationary node has no movement state: a tick leaves it on the
+    vertex ``place`` gave it."""
+    live = engine.LiveContacts(tiny_config, 5)
+    members = [(g, m) for g in tiny_config.groups for m in range(g.count)]
+    still = [i for i, (g, _) in enumerate(members) if g.movement == "stationary"]
+    assert still
+    assert not {i for i, *_ in live.mobile} & set(still)
+    before = list(live.positions)
+    live.at(0)
+    for i in still:
+        group, member = members[i]
+        assert live.positions[i] == before[i]
+        assert live.positions[i] == live.graph.vertices[
+            mobility.place(group, live.graph, member)]
 
 
 def test_step_progress_arithmetic_midpath():
@@ -166,3 +183,14 @@ def test_oscillation_distance_accounting_on_single_edge():
     ideal = 0.7 * advancing_ticks * 1.0
     assert abs(ideal - traveled) <= legs * 0.7 * 1.0 + 1e-9
     assert legs >= 30
+
+
+def test_stationary_group_positions_never_change_over_run(tiny_config):
+    live = engine.LiveContacts(tiny_config, 5)
+    members = [(g, m) for g in tiny_config.groups for m in range(g.count)]
+    placed = {i: live.graph.vertices[mobility.place(g, live.graph, m)]
+              for i, (g, m) in enumerate(members) if g.movement == "stationary"}
+    assert placed
+    for tick_index in range(200):
+        live.at(tick_index)
+        assert {i: live.positions[i] for i in placed} == placed
