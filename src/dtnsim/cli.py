@@ -64,15 +64,18 @@ def _print_summary(s: reports.MetricsSummary) -> None:
     print(f"dropped              = {s.dropped_total}")
 
 
+def _map_findings(cfg: scenario.ScenarioConfig) -> list[str]:
+    """Whether the map of ``cfg`` builds."""
+    try:
+        engine.load_map(cfg.map_source, cfg.seed)
+    except engine.SimulationError as exc:
+        return [f"map: {exc}"]
+    return []
+
+
 def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
     """Scenario invariants and, once those hold, whether the map builds."""
-    findings = scenario.validate(cfg)
-    if not findings:
-        try:
-            engine.load_map(cfg.map_source, cfg.seed)
-        except engine.SimulationError as exc:
-            findings.append(f"map: {exc}")
-    return findings
+    return scenario.validate(cfg) or _map_findings(cfg)
 
 
 def _load_scenario(path: str) -> tuple[str, scenario.ScenarioConfig]:
@@ -111,12 +114,18 @@ def _sweep_worker(job) -> tuple[str, int, int, reports.MetricsSummary]:
 
 def _sweep_configs(base: scenario.ScenarioConfig, protocols: list[str],
                    buffers: list[int]) -> list[scenario.ScenarioConfig]:
-    """The protocol x buffer configs of a sweep, each checked before any
-    runs; every finding is raised, named by its run."""
+    """The protocol x buffer configs of a sweep, each checked once before
+    any runs.  A finding every run has is raised once, worded as
+    ``validate`` words it; one that only some runs have is raised for each
+    of them, named by its run.  The swept fields of ``base`` itself are
+    not checked: no run uses them."""
     cfgs = [cfg for p in scenario.expand_sweep(base, "router.protocol", protocols)
             for cfg in scenario.expand_sweep(p, "buffer_bytes", buffers)]
-    findings = [f"{cfg.router.protocol} {reports.format_bytes(cfg.buffer_bytes)}: "
-                f"{finding}" for cfg in cfgs for finding in scenario.validate(cfg)]
+    checked = [(cfg, scenario.validate(cfg)) for cfg in cfgs]
+    shared = [f for f in checked[0][1] if all(f in found for _, found in checked)]
+    findings = shared + [
+        f"{cfg.router.protocol} {reports.format_bytes(cfg.buffer_bytes)}: {f}"
+        for cfg, found in checked for f in found if f not in shared]
     if findings:
         raise Findings(*findings)
     return cfgs
@@ -133,12 +142,18 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
     than one, a process pool takes the recordings, then the runs.
     """
     base = scenario.parse_scenario(config_text)
-    cfgs = _sweep_configs(base, protocols, buffers)
+    return _sweep(_sweep_configs(base, protocols, buffers), seeds, workers)
+
+
+def _sweep(cfgs: list[scenario.ScenarioConfig], seeds: list[int],
+           workers: int | None) -> list[tuple[str, int, int, reports.MetricsSummary]]:
+    """``sweep_runs`` for the checked run configs ``cfgs``."""
     workers = max(1, min(workers or os.cpu_count() or 1, len(cfgs) * len(seeds)))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         each = map if pool is None else pool.map
-        traces = each(engine.record_contacts, [base] * len(seeds), seeds)
+        # any run's config records them: only the axes differ
+        traces = each(engine.record_contacts, [cfgs[0]] * len(seeds), seeds)
         # seed by seed, so that a serial sweep holds one trace at a time
         jobs = ((cfg, seed, trace) for seed, trace in zip(seeds, traces)
                 for cfg in cfgs)
@@ -177,7 +192,8 @@ def _axis(flag: str, text: str, parse) -> list:
 
 
 def cmd_sweep(args) -> None:
-    config_text, cfg = _load_scenario(args.config)
+    # the file's own protocol and buffer are not checked: the axes replace them
+    base = scenario.parse_scenario(_read(args.config))
     buffers = _axis("--buffers", args.buffers, scenario.parse_size)
     protocols = _axis("--protocols", args.protocols, scenario.parse_protocol)
     seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
@@ -187,9 +203,12 @@ def cmd_sweep(args) -> None:
     if not threads.isdecimal():
         raise UsageError(f"DTNSIM_THREADS must be a non-negative integer, "
                          f"got {threads!r}")
-    _sweep_configs(cfg, protocols, buffers)
+    cfgs = _sweep_configs(base, protocols, buffers)
+    findings = _map_findings(base)
+    if findings:
+        raise Findings(*findings)
     _out_dir(args.out)
-    results = sweep_runs(config_text, protocols, buffers, seeds, int(threads))
+    results = _sweep(cfgs, seeds, int(threads))
     csv_path = os.path.join(args.out, "metrics.csv")
     reports.write_csv(results, csv_path)
     charts = plot_csv(csv_path, args.out)

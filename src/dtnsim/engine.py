@@ -189,10 +189,11 @@ class Simulation:
         # per node: its live contacts, contact key -> peer, in order of coming up
         self.contacts_of: list[dict[tuple[int, int, str], NodeState]] = [
             {} for _ in self.nodes]
-        # per (sender, interface): heap of (dst_match rank, seq, counter,
-        # receiver, msg_id, contact key); seq order is creation order
+        # per (sender, interface): heap of offer groups (see _queue)
         self.queues: defaultdict[tuple[int, str], list] = defaultdict(list)
         self._queue_counter = 0
+        # the idle (sender, interface) slots whose queue is not empty
+        self.ready: set[tuple[int, str]] = set()
 
         self.traffic_rng = rng_stream(seed, "traffic")
         self.traffic_state = traffic.TrafficState(
@@ -313,16 +314,42 @@ class Simulation:
     # --- phase 5: offers ---------------------------------------------------------
 
     def _queue(self, sender: int, offers) -> None:
-        """Queue each ``(dst_match, copy, key, peer)`` offer from ``sender``
-        on the interface of its contact."""
-        queues = self.queues
+        """Queue the ``(dst_match, copy, key, peer)`` offers of one routing
+        call from ``sender``, one group per (interface, rank, copy).
+
+        A group is ``[rank, seq, counter, msg_id, receivers]``, with the
+        ``(key, peer)`` receivers in offer order.  Groups order by (rank,
+        seq, counter): destination matches first, then creation order,
+        then call order.  ``counter`` is unique and taken per group, and a
+        group never takes offers of another call, so this is the order of
+        the offers one by one.
+        """
+        queues, ready, outgoing = self.queues, self.ready, self.pool.outgoing
         counter = self._queue_counter
+        # the copy whose offers are being grouped, and its rank-1 groups
+        # by interface; a copy's offers are consecutive, and its
+        # destination has one contact per interface, so a destination
+        # match always makes a group of its own
+        current = None
+        groups: dict[str, list] = {}
         for dst_match, copy, key, peer in offers:
-            counter += 1
-            msg = copy.msg
-            heappush(queues[(sender, key[2])],
-                     (0 if dst_match else 1, msg.seq, counter, peer.id, msg.id,
-                      key))
+            iface = key[2]
+            if copy is not current:
+                current = copy
+                groups = {}
+            receivers = None if dst_match else groups.get(iface)
+            if receivers is None:
+                counter += 1
+                msg = copy.msg
+                receivers = []
+                if not dst_match:
+                    groups[iface] = receivers
+                slot = (sender, iface)
+                heappush(queues[slot], [0 if dst_match else 1, msg.seq, counter,
+                                        msg.id, receivers])
+                if slot not in outgoing:
+                    ready.add(slot)
+            receivers.append((key, peer))
         self._queue_counter = counter
 
     def _contact_offers(self, key: tuple[int, int, str]) -> None:
@@ -336,21 +363,19 @@ class Simulation:
 
     def _run_transfers(self, now: float) -> None:
         budgets: dict[tuple[int, str], float] = {}
-        pool = self.pool
+        pool, queues, ready = self.pool, self.queues, self.ready
         self._start_transfers()
         self._abort_lost(now)
+        moving = None   # the first step moves every outgoing transfer
         while True:
-            completed = pool.advance(budgets)
-            if completed:
-                nodes = self.nodes
-                completed.sort(key=lambda tr: (
-                    tr.msg.seq, tr.receiver,
-                    nodes[tr.sender].buffer.get(tr.msg.id).hops,
-                    tr.sender, tr.iface))
-                for tr in completed:
-                    self._complete(tr, now)
-            started = self._start_transfers()
-            if not completed and not started:
+            completed = pool.advance(budgets, moving)
+            for tr in completed:
+                if queues.get(tr.slot):
+                    ready.add(tr.slot)
+                self._complete(tr, now)
+            # every other transfer spent its slot's budget for this tick
+            moving = self._start_transfers()
+            if not completed and not moving:
                 break
 
     def _abort_lost(self, now: float) -> None:
@@ -364,47 +389,69 @@ class Simulation:
         for skey, tr in outgoing.items():
             if tr.contact_key not in active:
                 lost.append((skey, REASON_CONTACT_DOWN))
-            elif tr.msg.id not in nodes[tr.sender].buffer:
+            elif tr.msg.id not in nodes[tr.sender].buffer.copies:
                 lost.append((skey, REASON_TTL))
         for skey, reason in sorted(lost):
             tr = outgoing.pop(skey)
             nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
+            if self.queues.get(skey):
+                self.ready.add(skey)
             self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0, reason)
 
-    def _start_transfers(self) -> int:
-        started = 0
+    def _start_transfers(self) -> list:
+        """One pass over the ready slots in (sender, interface) order; each
+        starts at most one transfer.  Returns the transfers begun.
+
+        At the head group, receivers whose contact is down are dropped;
+        then the whole group goes if the sender no longer buffers the
+        copy, and the slot waits if the copy is busy on another slot.
+        Otherwise ``routing.allowed_offers`` finds the first receiver
+        the rule still allows, and the refused ones before it are dropped.
+        """
+        started = []
         pool = self.pool
         nodes = self.nodes
         active = self.active
         router = self.cfg.router
-        ready = sorted(k for k, q in self.queues.items()
-                       if q and k not in pool.outgoing)
-        for skey in ready:
+        queues, ready = self.queues, self.ready
+        for skey in sorted(ready):
             sender_id, iface = skey
-            q = self.queues[skey]
-            node = nodes[sender_id]
-            buffer = node.buffer
+            q = queues[skey]
+            buffer = nodes[sender_id].buffer
+            copies = buffer.copies
             while q:
-                head = q[0]
-                _, _, _, receiver_id, msg_id, ckey = head
-                if ckey not in active:
+                group = q[0]
+                receivers = group[4]
+                while receivers and receivers[0][0] not in active:
+                    del receivers[0]
+                if not receivers:
                     heappop(q)
                     continue
-                copy = buffer.get(msg_id)
+                msg_id = group[3]
+                copy = copies.get(msg_id)
                 if copy is None:
                     heappop(q)
                     continue
                 if msg_id in buffer.pinned:
                     break   # busy elsewhere; retry once that transfer settles
-                heappop(q)
-                if not routing.offer_for_message(
-                        router, (copy,), ((ckey, nodes[receiver_id]),)):
-                    self.refused += 1
+                offers, refused = routing.allowed_offers(
+                    router, (copy,), receivers, active, True)
+                self.refused += refused
+                if not offers:
+                    heappop(q)
                     continue
-                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
+                _, _, ckey, receiver = offers[0]
+                at = receivers.index((ckey, receiver))
+                if at + 1 == len(receivers):
+                    heappop(q)
+                else:
+                    del receivers[:at + 1]
+                started.append(pool.begin(sender_id, receiver.id, iface, copy.msg,
+                                          ckey, copy.hops))
                 buffer.pinned.add(msg_id)
-                started += 1
                 break
+            if not q or skey in pool.outgoing:
+                ready.discard(skey)
         return started
 
     def _complete(self, tr, now: float) -> None:

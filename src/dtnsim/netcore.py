@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import ceil, inf, sqrt
+from operator import attrgetter
 
 
 class Message:
@@ -194,17 +195,30 @@ class ContactDetector:
 # --- transfers ---------------------------------------------------------------
 
 class Transfer:
+    """One transfer of ``msg`` from ``sender`` to ``receiver``.
+
+    ``order`` places it among the completions of one ``advance``: by
+    message creation, then receiver, then the hop count of the sender's
+    copy, then sender, then interface.  The sender's copy stays pinned
+    while the transfer runs, so its hop count is fixed at ``begin``.
+    """
+
     __slots__ = ("sender", "receiver", "iface", "msg", "bytes_sent",
-                 "contact_key")
+                 "contact_key", "slot", "order")
 
     def __init__(self, sender: int, receiver: int, iface: str, msg: Message,
-                 contact_key: tuple[int, int, str]):
+                 contact_key: tuple[int, int, str], hops: int = 0):
         self.sender = sender
         self.receiver = receiver
         self.iface = iface
         self.msg = msg
         self.bytes_sent = 0.0
         self.contact_key = contact_key
+        self.slot = (sender, iface)
+        self.order = (msg.seq, receiver, hops, sender, iface)
+
+
+_ORDER = attrgetter("order")
 
 
 class TransferPool:
@@ -220,27 +234,34 @@ class TransferPool:
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
     def begin(self, sender: int, receiver: int, iface: str, msg: Message,
-              contact_key: tuple[int, int, str]) -> Transfer:
+              contact_key: tuple[int, int, str], hops: int = 0) -> Transfer:
         """Caller must have verified the slot is idle and the receiver lacks
-        the message; one in-flight transfer per (sender, message) at a time."""
-        key = (sender, iface)
-        assert key not in self.outgoing, "busy interface"
-        tr = Transfer(sender, receiver, iface, msg, contact_key)
-        self.outgoing[key] = tr
+        the message; one in-flight transfer per (sender, message) at a time.
+        ``hops`` is the hop count of the sender's copy."""
+        tr = Transfer(sender, receiver, iface, msg, contact_key, hops)
+        assert tr.slot not in self.outgoing, "busy interface"
+        self.outgoing[tr.slot] = tr
         return tr
 
-    def advance(self, budgets: dict[tuple[int, str], float]) -> list[Transfer]:
-        """Move bytes against per-(node, interface) byte budgets.
+    def advance(self, budgets: dict[tuple[int, str], float],
+                transfers=None) -> list[Transfer]:
+        """Move bytes of ``transfers``, every outgoing transfer if None,
+        against per-(node, interface) byte budgets.
 
         ``budgets`` holds what each slot has left this tick; a slot missing
-        from it starts with its interface's full ``tick_bytes``.  Returns the
-        completed transfers, in no set order, and frees their slots so
-        follow-up transfers can reuse them and whatever budget remains this
-        tick.
+        from it starts with its interface's full ``tick_bytes``.  Each
+        transfer moves the lesser of its remaining bytes and its slot's
+        budget, so one that does not complete leaves its slot's budget at
+        exactly 0.0: within a tick, only transfers begun since the previous
+        call can still move.  Returns the completed transfers in ``order``,
+        and frees their slots so follow-up transfers can reuse them and
+        whatever budget remains this tick.
         """
         completed: list[Transfer] = []
-        for key, tr in self.outgoing.items():
-            budget = budgets.get(key, self.tick_bytes[key[1]])
+        tick_bytes = self.tick_bytes
+        for tr in self.outgoing.values() if transfers is None else transfers:
+            key = tr.slot
+            budget = budgets.get(key, tick_bytes[tr.iface])
             if budget <= 0.0:
                 continue
             need = tr.msg.size - tr.bytes_sent
@@ -250,7 +271,8 @@ class TransferPool:
             if tr.bytes_sent >= tr.msg.size:
                 completed.append(tr)
         for tr in completed:
-            key = (tr.sender, tr.iface)
+            key = tr.slot
             del self.outgoing[key]
             self.completed_bytes[key] = self.completed_bytes.get(key, 0.0) + tr.msg.size
+        completed.sort(key=_ORDER)
         return completed

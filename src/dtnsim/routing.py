@@ -3,13 +3,14 @@
 Epidemic offers every buffered message the peer lacks (neither buffered
 nor already delivered there).  Spray-and-wait offers direct deliveries
 unconditionally and relays only while the copy budget allows (copies >= 2),
-splitting the budget at transfer completion.  That rule is
-``offer_for_message``, and the engine asks it three things: which buffered
-copies may go to a contact that just came up (``on_contact_up``), which
-contacts an arriving copy may go to, and whether a queued offer still holds
-when it reaches the head of its queue.  Offers come out in buffer and
-contact order; the engine's queues send destination matches first, then
-the oldest message.  Expired copies never reach the rule: the engine
+splitting the budget at transfer completion.  That rule is written once,
+in ``allowed_offers``, and the engine asks it three things: which
+buffered copies may go to a contact that just came up (``on_contact_up``),
+which contacts an arriving copy may go to (``offer_for_message``), and,
+when a queued offer group reaches the head of its queue, which of its
+receivers is the first the rule still allows.  Offers come out in buffer
+and contact order; the engine's queues send destination matches first,
+then the oldest message.  Expired copies never reach the rule: the engine
 purges them at the start of every tick.  ``on_transfer_complete`` names
 the event a finished transfer makes and the copy its receiver should store;
 the engine stores it as it stores a newly created copy.
@@ -43,29 +44,47 @@ def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
     return BufferedCopy(msg, 0, copies)
 
 
-def offer_for_message(router: RouterConfig, copies, contacts) -> list:
-    """The forwarding rule for many copies and many peers.
+def allowed_offers(router: RouterConfig, copies, contacts, live=None,
+                   first: bool = False) -> tuple[list, int]:
+    """The forwarding rule, for each copy and each ``(key, peer)`` pair of
+    ``contacts``.
 
     A copy may go to a peer that neither buffers the message nor has had it
     delivered; a spray-and-wait copy in its wait phase (fewer than 2 copies
-    left) goes only to its destination.  ``contacts`` is a re-iterable of
-    ``(key, peer)`` pairs.  The result lists ``(dst_match, copy, key, peer)``
-    for each allowed pair, by copy and then by contact, in the order given.
+    left) goes only to its destination.  A pair whose key is not in
+    ``live``, when given, is passed over unjudged.
+
+    Returns ``(offers, refused)``: ``(dst_match, copy, key, peer)`` for each
+    allowed pair, by copy and then by contact, and the count of pairs the
+    rule turned down.  With ``first`` the scan ends at the first allowed
+    pair.
     """
     spray = router.protocol == SPRAY_AND_WAIT
     offers = []
+    refused = 0
     for copy in copies:
         msg = copy.msg
         msg_id = msg.id
         dst = msg.dst
         wait = spray and copy.copies < 2
         for key, peer in contacts:
+            if live is not None and key not in live:
+                continue
             peer_id = peer.id
             if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
                     or msg_id in peer.delivered):
+                refused += 1
                 continue
             offers.append((peer_id == dst, copy, key, peer))
-    return offers
+            if first:
+                return offers, refused
+    return offers, refused
+
+
+def offer_for_message(router: RouterConfig, copies, contacts) -> list:
+    """The offers ``allowed_offers`` makes of ``copies`` to ``contacts``, a
+    re-iterable of ``(key, peer)`` pairs, in the order given."""
+    return allowed_offers(router, copies, contacts)[0]
 
 
 def on_contact_up(router: RouterConfig, me, key, peer) -> list:
@@ -92,22 +111,23 @@ def on_transfer_complete(router: RouterConfig, sender, receiver,
     spray-and-wait budget, or its removal by a spray-and-wait delivery).
     Storing ``Outcome.copy`` at the receiver is the caller's job.
     """
-    sender_copy = sender.buffer.get(msg.id)
-    assert sender_copy is not None, f"sender lost {msg.id} mid-transfer"
+    msg_id = msg.id
+    sender_copy = sender.buffer.copies.get(msg_id)
+    assert sender_copy is not None, f"sender lost {msg_id} mid-transfer"
     hops = sender_copy.hops + 1
     spray = router.protocol == SPRAY_AND_WAIT
 
     if receiver.id == msg.dst:
-        if msg.id in receiver.delivered:
+        if msg_id in receiver.delivered:
             kind = DUPLICATE
         else:
-            receiver.delivered.add(msg.id)
+            receiver.delivered.add(msg_id)
             kind = DELIVERED
         if spray:
-            sender.buffer.remove(msg.id)   # budget consumed by the delivery
+            sender.buffer.remove(msg_id)   # budget consumed by the delivery
         return Outcome(kind, hops, None, spray)
 
-    if msg.id in receiver.buffer:
+    if msg_id in receiver.buffer.copies:
         # a concurrent transfer got there first; bytes were spent, the
         # receiver discards the late copy and the sender budget is untouched
         return Outcome(RELAYED, hops, None, False)

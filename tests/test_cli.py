@@ -409,12 +409,49 @@ def test_run_and_sweep_report_findings_as_validate_does(tmp_path, capsys):
     findings = capsys.readouterr().err
     assert findings.count("\n") == 2
     out = str(tmp_path / "out")
-    for argv in (["run", str(path), "--out", out],
-                 ["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
-                  "--seeds", "1", "--out", out]):
-        assert cli.main(argv) == 1, argv
-        assert capsys.readouterr().err == findings, argv
+    assert cli.main(["run", str(path), "--out", out]) == 1
+    assert capsys.readouterr().err == findings
+    # the sweep's runs use 5M, not the file's 200k: only the ttl is theirs
+    assert cli.main(["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
+                     "--seeds", "1", "--out", out]) == 1
+    assert capsys.readouterr().err == "ttl: must be > 0\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("own", [
+    "buffer_size = 200k", "router.protocol = spray-and-wait\nrouter.copies = 0",
+], ids=["buffer", "copies"])
+def test_sweep_checks_its_runs_not_the_files_axis_fields(tmp_path, capsys,
+                                                         monkeypatch, own):
+    # the file's own buffer or protocol cannot run, but no run of the sweep
+    # uses it
+    monkeypatch.setenv("DTNSIM_THREADS", "1")
+    path = tmp_path / "axes.cfg"
+    path.write_text(TINY + own + "\n")
+    assert cli.main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--buffers", "5M", "--protocols", "epidemic",
+                     "--seeds", "1", "--out", str(out)]) == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
+
+def test_sweep_names_the_runs_of_a_finding_only_some_have(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY + "ttl = -1\nrouter.copies = 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--buffers", "5M,200k", "--protocols",
+                     "epidemic,spray-and-wait", "--seeds", "1", "--out", str(out)]) == 1
+    small = "buffer_size: buffer smaller than max message (200000 < 300000)"
+    copies = "router.copies: copy budget must be >= 1"
+    assert capsys.readouterr().err.splitlines() == [
+        "ttl: must be > 0",
+        f"epidemic 200k: {small}",
+        f"spray-and-wait 5M: {copies}",
+        f"spray-and-wait 200k: {small}",
+        f"spray-and-wait 200k: {copies}",
+    ]
+    assert not out.exists()
 
 
 STADIUM_CFG = DESK_CFG.parent / "stadium.cfg"

@@ -1,0 +1,184 @@
+"""The engine's transfer fixed point against the design it replaced.
+
+``OneOfferPerEntry`` keeps that design as an oracle: one heap entry per
+(receiver, message) offer, a full scan of the queue keys on every pass,
+one one-pair ``routing.offer_for_message`` call per entry that reaches a
+queue head, every outgoing transfer advanced on every step, and
+completions sorted by a key that reads the sender's copy again.  The
+engine groups the offers of one routing call, keeps the idle slots that
+have offers as a set, advances only the transfers that can still move
+and fixes each transfer's completion order when it begins.  Both must
+write the same event log on small random scripted cases: several
+interfaces, so that queue heads wait on copies busy on another
+interface; contacts that go down and come back up; bandwidth below, at
+and above one message per tick; tight buffers and short TTLs; epidemic
+and both spray-and-wait modes.
+"""
+
+import random
+from heapq import heappop, heappush
+
+import pytest
+
+from dtnsim import routing, scenario
+from dtnsim.reports import ABORTED, DROPPED, REASON_CONTACT_DOWN, REASON_OVERFLOW, REASON_TTL
+
+from conftest import ScriptedSimulation
+
+CASES = 300
+BATCHES = 6
+
+
+class OneOfferPerEntry(ScriptedSimulation):
+    """A ScriptedSimulation whose transfer queue is the one-entry-per-offer
+    design; it counts the pinned heads it waits on."""
+
+    pinned_waits = 0
+
+    def _queue(self, sender, offers):
+        for dst_match, copy, key, peer in offers:
+            self._queue_counter += 1
+            msg = copy.msg
+            heappush(self.queues[(sender, key[2])],
+                     (0 if dst_match else 1, msg.seq, self._queue_counter,
+                      peer.id, msg.id, key))
+
+    def _run_transfers(self, now):
+        budgets = {}
+        self._start_transfers()
+        self._abort_lost(now)
+        while True:
+            completed = self.pool.advance(budgets)
+            completed.sort(key=lambda tr: (
+                tr.msg.seq, tr.receiver,
+                self.nodes[tr.sender].buffer.get(tr.msg.id).hops,
+                tr.sender, tr.iface))
+            for tr in completed:
+                self._complete(tr, now)
+            started = self._start_transfers()
+            if not completed and not started:
+                break
+
+    def _abort_lost(self, now):
+        outgoing = self.pool.outgoing
+        lost = []
+        for skey, tr in outgoing.items():
+            if tr.contact_key not in self.active:
+                lost.append((skey, REASON_CONTACT_DOWN))
+            elif tr.msg.id not in self.nodes[tr.sender].buffer:
+                lost.append((skey, REASON_TTL))
+        for skey, reason in sorted(lost):
+            tr = outgoing.pop(skey)
+            self.nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
+            self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0, reason)
+
+    def _start_transfers(self):
+        started = 0
+        pool = self.pool
+        ready = sorted(k for k, q in self.queues.items()
+                       if q and k not in pool.outgoing)
+        for skey in ready:
+            sender_id, iface = skey
+            q = self.queues[skey]
+            buffer = self.nodes[sender_id].buffer
+            while q:
+                _, _, _, receiver_id, msg_id, ckey = q[0]
+                if ckey not in self.active:
+                    heappop(q)
+                    continue
+                copy = buffer.get(msg_id)
+                if copy is None:
+                    heappop(q)
+                    continue
+                if msg_id in buffer.pinned:
+                    self.pinned_waits += 1
+                    break
+                heappop(q)
+                if not routing.offer_for_message(
+                        self.cfg.router, (copy,), ((ckey, self.nodes[receiver_id]),)):
+                    self.refused += 1
+                    continue
+                # hops 0: the sort above, not the pool, orders completions
+                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
+                buffer.pinned.add(msg_id)
+                started += 1
+                break
+        return started
+
+
+CASE_TEXT = """
+sim_duration = {duration}
+interval_range = 1,1
+size_range = 1000,3000
+buffer_size = {buffer}
+ttl = {ttl}
+router.protocol = {protocol}
+router.copies = {copies}
+router.binary = {binary}
+group.audience.count = 0
+group.rescue.count = 0
+group.ambulance.count = 0
+group.media.count = 0
+group.sensors.count = 0
+group.exits.count = 0
+group.n.count = {nodes}
+group.n.movement = stationary
+group.n.interfaces = {interfaces}
+group.n.roles = message_source,message_destination
+{bandwidths}
+"""
+
+# bytes per second against message sizes of 1000-3000 B and a 1 s tick
+BANDWIDTHS = (400, 1000, 2000, 3000, 5000, 20000, 10**9)
+
+
+def random_case(rng: random.Random):
+    nodes = rng.randint(4, 12)
+    interfaces = [f"i{k}" for k in range(rng.randint(1, 3))]
+    duration = rng.randint(60, 160)
+    protocol, copies, binary = rng.choice([
+        ("epidemic", 1, "true"), ("spray-and-wait", rng.randint(1, 8), "true"),
+        ("spray-and-wait", rng.randint(1, 8), "false")])
+    cfg = scenario.parse_scenario(CASE_TEXT.format(
+        duration=duration, buffer=rng.choice((3000, 5000, 8000, 20000, 100000)),
+        ttl=rng.choice((5, 15, 40, 1000)), protocol=protocol, copies=copies,
+        binary=binary, nodes=nodes, interfaces=",".join(interfaces),
+        bandwidths="\n".join(
+            f"interface.{name}.bandwidth = {rng.choice(BANDWIDTHS)}\n"
+            f"interface.{name}.range = 1" for name in interfaces)))
+    # each (pair, interface) is up in a few short spells, so contacts go
+    # down and come back while transfers and queue heads wait on them
+    contacts = []
+    for a in range(nodes):
+        for b in range(a + 1, nodes):
+            for name in interfaces:
+                if rng.random() < 0.5:
+                    for _ in range(rng.randint(1, 4)):
+                        up = rng.uniform(0, duration)
+                        contacts.append((a, b, name, up, up + rng.uniform(1, 25)))
+    creations = [(rng.uniform(0, duration * 0.8), src, rng.choice(
+        [n for n in range(nodes) if n != src]), rng.randint(1000, 3000))
+        for src in (rng.randrange(nodes) for _ in range(rng.randint(3, 25)))]
+    return cfg, contacts, creations
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_engine_matches_the_one_offer_per_entry_queue(batch):
+    rng = random.Random(f"transfer-queue/{batch}")
+    seen = dict.fromkeys(("pinned", "aborted", "overflow", "ttl", "refused"), 0)
+    for case in range(CASES // BATCHES):
+        cfg, contacts, creations = random_case(rng)
+        engine = ScriptedSimulation(cfg, 1, contacts, creations)
+        oracle = OneOfferPerEntry(cfg, 1, contacts, creations)
+        events, _ = engine.run()
+        expected, _ = oracle.run()
+        assert events == expected, f"batch {batch} case {case}"
+        assert engine.refused == oracle.refused
+        seen["pinned"] += oracle.pinned_waits
+        seen["refused"] += oracle.refused
+        for event in events:
+            seen["aborted"] += event[1] == ABORTED
+            seen["overflow"] += event[1] == DROPPED and event[6] == REASON_OVERFLOW
+            seen["ttl"] += event[1] == DROPPED and event[6] == REASON_TTL
+    # every batch exercises what the queue has to get right
+    assert min(seen.values()) >= 20, seen
