@@ -434,14 +434,15 @@ class Simulation:
                     continue
                 if msg_id in buffer.pinned:
                     break   # busy elsewhere; retry once that transfer settles
-                offers, refused = routing.allowed_offers(
+                offers, passed = routing.allowed_offers(
                     router, (copy,), receivers, active, True)
-                self.refused += refused
                 if not offers:
+                    self.refused += len(receivers) - passed
                     heappop(q)
                     continue
                 _, _, ckey, receiver = offers[0]
                 at = receivers.index((ckey, receiver))
+                self.refused += at - passed
                 if at + 1 == len(receivers):
                     heappop(q)
                 else:

@@ -22,20 +22,10 @@ transfers consume bandwidth and count toward overhead.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
 from .netcore import BufferedCopy, Message
 from .reports import DELIVERED, DUPLICATE, RELAYED
 from .scenario import SPRAY_AND_WAIT, RouterConfig
-
-
-class Outcome(NamedTuple):
-    """What a completed transfer produced."""
-
-    kind: str                   # the event: DELIVERED, DUPLICATE or RELAYED
-    hops: int
-    copy: BufferedCopy | None   # for the receiver to store; None if nothing new
-    sender_deleted: bool
 
 
 def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
@@ -54,14 +44,14 @@ def allowed_offers(router: RouterConfig, copies, contacts, live=None,
     left) goes only to its destination.  A pair whose key is not in
     ``live``, when given, is passed over unjudged.
 
-    Returns ``(offers, refused)``: ``(dst_match, copy, key, peer)`` for each
-    allowed pair, by copy and then by contact, and the count of pairs the
-    rule turned down.  With ``first`` the scan ends at the first allowed
-    pair.
+    Returns ``(offers, passed)``: ``(dst_match, copy, key, peer)`` for each
+    allowed pair, by copy and then by contact, and the count of pairs
+    passed over.  With ``first`` the scan ends at the first allowed pair,
+    so every pair before it was passed over or refused.
     """
     spray = router.protocol == SPRAY_AND_WAIT
     offers = []
-    refused = 0
+    passed = 0
     for copy in copies:
         msg = copy.msg
         msg_id = msg.id
@@ -69,16 +59,16 @@ def allowed_offers(router: RouterConfig, copies, contacts, live=None,
         wait = spray and copy.copies < 2
         for key, peer in contacts:
             if live is not None and key not in live:
+                passed += 1
                 continue
             peer_id = peer.id
             if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
                     or msg_id in peer.delivered):
-                refused += 1
                 continue
             offers.append((peer_id == dst, copy, key, peer))
             if first:
-                return offers, refused
-    return offers, refused
+                return offers, passed
+    return offers, passed
 
 
 def offer_for_message(router: RouterConfig, copies, contacts) -> list:
@@ -103,13 +93,18 @@ def split_copies(copies: int, binary: bool) -> tuple[int, int]:
     return copies - 1, 1
 
 
-def on_transfer_complete(router: RouterConfig, sender, receiver,
-                         msg: Message) -> Outcome:
-    """Decide what a transfer net-core just finished produced.
+def on_transfer_complete(router: RouterConfig, sender, receiver, msg: Message,
+                         ) -> tuple[str, int, BufferedCopy | None, bool]:
+    """Decide what a transfer net-core just finished produced: ``(kind,
+    hops, copy, sender_deleted)``.
 
-    Updates the receiver's delivered set and the sender's copy (its
-    spray-and-wait budget, or its removal by a spray-and-wait delivery).
-    Storing ``Outcome.copy`` at the receiver is the caller's job.
+    ``kind`` is the event, DELIVERED, DUPLICATE or RELAYED, and ``hops`` its
+    hop count; ``copy`` is the copy for the receiver to store, None if
+    nothing new arrived; ``sender_deleted`` tells whether the sender gave
+    up its copy.  Updates the receiver's delivered set and the sender's
+    copy (its spray-and-wait budget, or its removal by a spray-and-wait
+    delivery).  Storing ``copy`` at the receiver is the caller's job.  A
+    plain tuple: one is made per completed transfer.
     """
     msg_id = msg.id
     sender_copy = sender.buffer.copies.get(msg_id)
@@ -125,19 +120,19 @@ def on_transfer_complete(router: RouterConfig, sender, receiver,
             kind = DELIVERED
         if spray:
             sender.buffer.remove(msg_id)   # budget consumed by the delivery
-        return Outcome(kind, hops, None, spray)
+        return kind, hops, None, spray
 
     if msg_id in receiver.buffer.copies:
         # a concurrent transfer got there first; bytes were spent, the
         # receiver discards the late copy and the sender budget is untouched
-        return Outcome(RELAYED, hops, None, False)
+        return RELAYED, hops, None, False
 
     copies = None
     if spray:
         kept, given = split_copies(sender_copy.copies, router.binary_mode)
         sender_copy.copies = kept
         copies = given
-    return Outcome(RELAYED, hops, BufferedCopy(msg, hops, copies), False)
+    return RELAYED, hops, BufferedCopy(msg, hops, copies), False
 
 
 # --- idealized-propagation oracle ------------------------------------------

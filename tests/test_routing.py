@@ -170,8 +170,8 @@ def complete(router, sender, receiver, msg):
     """``on_transfer_complete``, then the receiver stores the outcome's copy
     as the engine does."""
     out = on_transfer_complete(router, sender, receiver, msg)
-    if out.copy is not None:
-        receiver.buffer.insert(out.copy)
+    if out[2] is not None:
+        receiver.buffer.insert(out[2])
     return out
 
 
@@ -180,10 +180,10 @@ def test_first_arrival_at_destination_counts_hops_per_transfer():
     m = mk(1, src=0, dst=3)
     n0, n1, n2, n3 = Node(0), Node(1), Node(2), Node(3)
     n0.hold(m, hops=0)
-    out = complete(EPIDEMIC, n0, n1, m)
-    assert (out.kind, out.hops, out.copy.hops) == (RELAYED, 1, 1)
-    out = complete(EPIDEMIC, n1, n2, m)
-    assert (out.kind, out.hops, out.copy.hops) == (RELAYED, 2, 2)
+    kind, hops, copy, _ = complete(EPIDEMIC, n0, n1, m)
+    assert (kind, hops, copy.hops) == (RELAYED, 1, 1)
+    kind, hops, copy, _ = complete(EPIDEMIC, n1, n2, m)
+    assert (kind, hops, copy.hops) == (RELAYED, 2, 2)
     out = complete(EPIDEMIC, n2, n3, m)
     assert out == (DELIVERED, 3, None, False)
     assert "M1" in n3.delivered
@@ -195,7 +195,7 @@ def test_second_arrival_at_destination_is_duplicate():
     a, b, dst = Node(1), Node(2), Node(3)
     a.hold(m, hops=0)
     b.hold(m, hops=4)
-    assert on_transfer_complete(EPIDEMIC, a, dst, m).kind == DELIVERED
+    assert on_transfer_complete(EPIDEMIC, a, dst, m)[0] == DELIVERED
     out = on_transfer_complete(EPIDEMIC, b, dst, m)
     assert out == (DUPLICATE, 5, None, False)
     assert dst.delivered == {"M1"}
@@ -222,9 +222,9 @@ def test_spray_relay_splits_budget_binary():
     m = mk(1, src=0, dst=9)
     a, b = Node(1), Node(2)
     a.hold(m, copies=10)
-    out = on_transfer_complete(SPRAY, a, b, m)
-    assert out.kind == RELAYED and not out.sender_deleted
-    assert (out.copy.msg, out.copy.hops, out.copy.copies) == (m, 1, 5)
+    kind, _, copy, sender_deleted = on_transfer_complete(SPRAY, a, b, m)
+    assert kind == RELAYED and not sender_deleted
+    assert (copy.msg, copy.hops, copy.copies) == (m, 1, 5)
     assert a.buffer.get("M1").copies == 5
     assert "M1" not in b.buffer           # storing the copy is the caller's
 
@@ -233,9 +233,10 @@ def test_spray_relay_splits_budget_source_mode():
     m = mk(1, src=0, dst=9)
     a, b = Node(1), Node(2)
     a.hold(m, copies=7)
-    out = on_transfer_complete(RouterConfig("spray-and-wait", 7, False), a, b, m)
+    _, _, copy, _ = on_transfer_complete(RouterConfig("spray-and-wait", 7, False),
+                                         a, b, m)
     assert a.buffer.get("M1").copies == 6
-    assert out.copy.copies == 1
+    assert copy.copies == 1
 
 
 def test_concurrent_relay_duplicate_discarded():
@@ -243,7 +244,7 @@ def test_concurrent_relay_duplicate_discarded():
     a, b, r = Node(1), Node(2), Node(3)
     a.hold(m, hops=0, copies=4)
     b.hold(m, hops=2, copies=4)
-    assert complete(SPRAY, a, r, m).kind == RELAYED
+    assert complete(SPRAY, a, r, m)[0] == RELAYED
     out = complete(SPRAY, b, r, m)
     assert out == (RELAYED, 3, None, False)
     assert r.buffer.get("M1").hops == 1     # first copy kept
