@@ -17,7 +17,11 @@ Each tick covers [clock, clock + tick) and executes a fixed phase order:
 
 Phases 7 and 8 loop to a fixed point so that back-to-back transfers can
 share one tick's bandwidth; with effectively infinite bandwidth an entire
-multi-hop exchange settles in the tick that enables it.
+multi-hop exchange settles in the tick that enables it.  Each step of the
+loop does work in proportion to what changed: a start pass visits only
+the idle slots that have queued offers (``ready``), and after the tick's
+first step only the transfers begun since the last step can move bytes,
+because every other one has spent its slot's budget.
 
 Every copy that enters a buffer, created or relayed, goes through
 ``Simulation._admit``, which logs the buffer-overflow drops, keeps the
@@ -27,12 +31,15 @@ to log and the copy, if any, for the receiver to store.
 
 Offers come from ``routing.offer_for_message`` at contact-up and whenever a
 copy arrives at a node (created or relayed), and wait in one queue per
-(sender, interface): destination matches first, then the oldest message,
-then the order the offers were made.  The head of a queue is checked
-against the rule again before its transfer starts.  Phase 1 leaves no
-expired copy behind, so offers need no expiry test.  All randomness
-comes from named streams derived from (seed, label), so mobility traces
-are identical across routing protocols.
+(sender, interface) as groups: the offers of one routing call for one
+copy and one rank, receivers in offer order.  The queue's order is that
+of the offers one by one: destination matches first, then the oldest
+message, then the order the offers were made.  At the head group, dead
+receivers are dropped before the slot waits on a copy busy elsewhere, and
+``routing.allowed_offers`` picks the first receiver the rule still
+allows.  Phase 1 leaves no expired copy behind, so offers need no expiry
+test.  All randomness comes from named streams derived from (seed,
+label), so mobility traces are identical across routing protocols.
 
 Phases 3-4 are one call, ``contacts.at(tick_index) -> (ups, downs)``, to
 ``LiveContacts``, which moves the nodes and detects, or to a
@@ -443,10 +450,9 @@ class Simulation:
                 _, _, ckey, receiver = offers[0]
                 at = receivers.index((ckey, receiver))
                 self.refused += at - passed
-                if at + 1 == len(receivers):
+                del receivers[:at + 1]
+                if not receivers:
                     heappop(q)
-                else:
-                    del receivers[:at + 1]
                 started.append(pool.begin(sender_id, receiver.id, iface, copy.msg,
                                           ckey, copy.hops))
                 buffer.pinned.add(msg_id)

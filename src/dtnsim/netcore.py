@@ -13,7 +13,11 @@ two stationary nodes is checked once.
 Each node runs at most one outgoing transfer per interface; incoming
 transfers are unlimited.  ``TransferPool`` only moves bytes and frees the
 slots of completed transfers; the engine aborts a transfer whose contact
-went down or whose message expired by taking it out of ``outgoing``.
+went down or whose message expired by taking it out of ``outgoing``.  One
+``advance`` moves each transfer it is given by the lesser of its missing
+bytes and what its slot has left of the tick's budget, so a transfer that
+does not complete leaves its slot at exactly 0.0, and returns the
+completed ones in their completion order.
 Buffers evict oldest-received messages first, never the incoming message
 itself, and never a message currently being transmitted by the owning
 node.
