@@ -253,13 +253,11 @@ class TransferPool:
         against per-(node, interface) byte budgets.
 
         ``budgets`` holds what each slot has left this tick; a slot missing
-        from it starts with its interface's full ``tick_bytes``.  Each
-        transfer moves the lesser of its remaining bytes and its slot's
-        budget, so one that does not complete leaves its slot's budget at
-        exactly 0.0: within a tick, only transfers begun since the previous
-        call can still move.  Returns the completed transfers in ``order``,
-        and frees their slots so follow-up transfers can reuse them and
-        whatever budget remains this tick.
+        from it starts with its interface's full ``tick_bytes``.  Within a
+        tick, only transfers begun since the previous call can still move
+        (see the module docstring).  Returns the completed transfers in
+        ``order``, and frees their slots so follow-up transfers can reuse
+        them and whatever budget remains this tick.
         """
         completed: list[Transfer] = []
         tick_bytes = self.tick_bytes
