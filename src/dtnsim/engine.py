@@ -62,7 +62,7 @@ from .netcore import (Buffer, BufferedCopy, ContactDetector, Message,
 from .reports import (ABORTED, CONTACT_DOWN, CONTACT_UP, CREATED, DROPPED,
                       REASON_CONTACT_DOWN, REASON_OVERFLOW, REASON_TTL,
                       MetricsSummary, compute_metrics)
-from .scenario import MapSpec, ScenarioConfig, validate
+from .scenario import MapSpec, ScenarioConfig, tick_count, validate
 from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
 
 # event record: (time, kind, msg_id, node_a, node_b, hops, reason)
@@ -226,8 +226,11 @@ class Simulation:
     # --- main loop ------------------------------------------------------------
 
     def run(self) -> tuple[list[Event], MetricsSummary]:
-        duration = self.cfg.sim_duration
-        while self.clock < duration:
+        """Tick from the current tick through the last of the run's
+        ``tick_count(cfg)``, then fold and audit the log.  A caller that
+        ticked by hand and then cut ``cfg.sim_duration`` back to the clock
+        gets no further tick."""
+        for _ in range(self.tick_index, tick_count(self.cfg)):
             self.tick()
         summary = compute_metrics(self.events)
         self._audit(summary)
@@ -392,14 +395,15 @@ class Simulation:
         receiver discards the partial data, and the slot is free at once."""
         nodes, active = self.nodes, self.active
         outgoing = self.pool.outgoing
-        lost = []
-        for skey, tr in outgoing.items():
+        for skey in sorted(outgoing):
+            tr = outgoing[skey]
             if tr.contact_key not in active:
-                lost.append((skey, REASON_CONTACT_DOWN))
+                reason = REASON_CONTACT_DOWN
             elif tr.msg.id not in nodes[tr.sender].buffer.copies:
-                lost.append((skey, REASON_TTL))
-        for skey, reason in sorted(lost):
-            tr = outgoing.pop(skey)
+                reason = REASON_TTL
+            else:
+                continue
+            del outgoing[skey]
             nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
             if self.queues.get(skey):
                 self.ready.add(skey)
@@ -512,20 +516,18 @@ def load_map(spec: MapSpec, seed: int) -> MapGraph:
 
 def record_contacts(cfg: ScenarioConfig, seed: int) -> ContactTrace:
     """The contacts of the live run of (cfg, seed), from a ``LiveContacts``
-    alone; the trace replays exactly in any run of (cfg, seed) whose router
-    or buffer differs."""
+    alone, over the ``tick_count(cfg)`` ticks of the run; the trace replays
+    exactly in any run of (cfg, seed) whose router or buffer differs."""
     findings = validate(cfg)
     if findings:
         raise SimulationError("invalid scenario: " + "; ".join(findings))
     live = LiveContacts(cfg, seed)
     changes: dict[int, tuple[tuple, tuple]] = {}
-    tick_index = 0
-    while tick_index * cfg.tick < cfg.sim_duration:
+    for tick_index in range(tick_count(cfg)):
         ups, downs = live.at(tick_index)
         if ups or downs:
             # tuples take less memory than lists, and every empty one is ()
             changes[tick_index] = (tuple(ups), tuple(downs))
-        tick_index += 1
     return ContactTrace(cfg.tick, cfg.sim_duration, len(live.positions), changes)
 
 

@@ -74,12 +74,6 @@ class Buffer:
         self.occupancy = 0
         self.pinned: set[str] = set()               # ids being transmitted by owner
 
-    def __contains__(self, msg_id: str) -> bool:
-        return msg_id in self.copies
-
-    def get(self, msg_id: str) -> BufferedCopy | None:
-        return self.copies.get(msg_id)
-
     def insert(self, copy: BufferedCopy) -> tuple[bool, list[BufferedCopy]]:
         """Make room by evicting oldest-received unpinned copies, then append.
 
@@ -211,7 +205,7 @@ class Transfer:
                  "contact_key", "slot", "order")
 
     def __init__(self, sender: int, receiver: int, iface: str, msg: Message,
-                 contact_key: tuple[int, int, str], hops: int = 0):
+                 contact_key: tuple[int, int, str], hops: int):
         self.sender = sender
         self.receiver = receiver
         self.iface = iface
@@ -238,7 +232,7 @@ class TransferPool:
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
     def begin(self, sender: int, receiver: int, iface: str, msg: Message,
-              contact_key: tuple[int, int, str], hops: int = 0) -> Transfer:
+              contact_key: tuple[int, int, str], hops: int) -> Transfer:
         """Caller must have verified the slot is idle and the receiver lacks
         the message; one in-flight transfer per (sender, message) at a time.
         ``hops`` is the hop count of the sender's copy."""

@@ -184,6 +184,8 @@ def parse_csv(text: str) -> list[dict]:
             except ValueError:
                 raise CsvError(f"bad {column} value {row[column]!r}") from None
         rows.append(row)
+    if not rows:
+        raise CsvError("CSV has no rows")
     return rows
 
 
@@ -228,31 +230,28 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
     plot_h = height - top - bottom
 
     if log_scale:
+        transform = math.log10
         lo = 10.0 ** math.floor(math.log10(min(positive)))
         hi = 10.0 ** math.ceil(math.log10(max(positive)))
         if hi == lo:
             hi = lo * 10.0
-
-        def y_frac(v: float) -> float:
-            if math.isnan(v) or v <= lo:
-                return 0.0
-            return (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-
         grid_values = []
         g = lo
         while g <= hi * 1.0000001:
             grid_values.append(g)
             g *= 10.0
     else:
+        def transform(v: float) -> float:
+            return v
+        lo = 0.0
         vmax = max(finite) if finite else 0.0
         hi = vmax * 1.05 if vmax > 0 else 1.0
-
-        def y_frac(v: float) -> float:
-            if math.isnan(v) or v <= 0:
-                return 0.0
-            return v / hi
-
         grid_values = [hi * i / 5.0 for i in range(6)]
+
+    def y_frac(v: float) -> float:
+        if math.isnan(v) or v <= lo:
+            return 0.0
+        return (transform(v) - transform(lo)) / (transform(hi) - transform(lo))
 
     parts = []
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -156,19 +156,26 @@ def _parse_float(text: str) -> float:
     return _finite(float(text), text)
 
 
-def parse_size(text: str) -> int:
-    """Parse a byte count with optional decimal k/M suffix ('5M' -> 5000000)."""
+_SIZE_SUFFIXES = {"k": 1000.0, "K": 1000.0, "M": 1_000_000.0}
+_DURATION_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0}
+
+
+def _scaled(text: str, suffixes: dict[str, float], what: str) -> float:
+    """The finite number ``text`` times the scale of its unit suffix, if any."""
     t = text.strip()
-    mult = 1
-    if t.endswith(("k", "K")):
-        mult, t = 1000, t[:-1]
-    elif t.endswith("M"):
-        mult, t = 1_000_000, t[:-1]
+    scale = suffixes.get(t[-1:], 1.0)
+    if t[-1:] in suffixes:
+        t = t[:-1]
     try:
         value = float(t)
     except ValueError:
-        raise ScenarioError(f"bad size value {text!r}") from None
-    result = _finite(value * mult, text)
+        raise ScenarioError(f"bad {what} value {text!r}") from None
+    return _finite(value * scale, text)
+
+
+def parse_size(text: str) -> int:
+    """Parse a byte count with optional decimal k/M suffix ('5M' -> 5000000)."""
+    result = _scaled(text, _SIZE_SUFFIXES, "size")
     if result != int(result):
         raise ScenarioError(f"size {text!r} is not a whole number of bytes")
     return int(result)
@@ -176,19 +183,7 @@ def parse_size(text: str) -> int:
 
 def parse_duration(text: str) -> float:
     """Parse seconds with optional s/m/h suffix ('3h' -> 10800.0)."""
-    t = text.strip()
-    mult = 1.0
-    if t.endswith("s"):
-        t = t[:-1]
-    elif t.endswith("m"):
-        mult, t = 60.0, t[:-1]
-    elif t.endswith("h"):
-        mult, t = 3600.0, t[:-1]
-    try:
-        value = float(t)
-    except ValueError:
-        raise ScenarioError(f"bad duration value {text!r}") from None
-    return _finite(value * mult, text)
+    return _scaled(text, _DURATION_SUFFIXES, "duration")
 
 
 def _parse_bool(text: str) -> bool:
@@ -342,14 +337,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 # --- validation ------------------------------------------------------------
 
-def _last_tick_start(cfg: ScenarioConfig) -> float:
-    """The clock of a run's last tick (sim_duration and tick > 0): tick k
-    starts at k * tick while that is below sim_duration.  The search starts
+def tick_count(cfg: ScenarioConfig) -> int:
+    """The number of ticks of a run (tick > 0): tick k runs from k * tick
+    while that is below sim_duration.  The search for the last k starts
     past the quotient's ceiling, in case the quotient rounds down."""
     k = math.ceil(cfg.sim_duration / cfg.tick) + 1
     while k * cfg.tick >= cfg.sim_duration:
         k -= 1
-    return k * cfg.tick
+    return k + 1
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -368,7 +363,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     elif cfg.sim_duration > MAX_MESSAGES * min_interval > 0:
         findings.append(f"interval_range: up to {cfg.sim_duration / min_interval:.3g}"
                         f" messages exceed the limit of {MAX_MESSAGES:.0e}")
-    elif cfg.sim_duration > 0 and (last := _last_tick_start(cfg)) < min_interval:
+    elif cfg.sim_duration > 0 and (
+            last := (tick_count(cfg) - 1) * cfg.tick) < min_interval:
         findings.append(f"sim_duration: no message can be created: the last tick "
                         f"starts at {last:g} s, before the smallest interval_range "
                         f"value ({min_interval:g} s)")

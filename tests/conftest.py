@@ -184,7 +184,7 @@ def check_state(sim: Simulation) -> None:
                 f"{msg_id} buffered at {node.id} after its ttl, at {now}")
     for msg_id, held in sim.holders.items():
         for nid in held:
-            assert msg_id in sim.nodes[nid].buffer, (
+            assert msg_id in sim.nodes[nid].buffer.copies, (
                 f"holders index stale for {msg_id} at {nid}")
 
 

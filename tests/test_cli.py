@@ -350,6 +350,16 @@ def test_plot_bad_csv_value_exits_1_with_one_line(tmp_path, capsys, column, valu
     assert len(err) == 1 and f"bad {column} value {value!r}" in err[0], err
 
 
+def test_plot_header_only_csv_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text(",".join(reports.CSV_COLUMNS) + "\n")
+    out = tmp_path / "charts"
+    assert cli.main(["plot", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: CSV has no rows"]
+    assert not out.exists()
+
+
 def test_plot_single_row_csv(tiny_file, tmp_path):
     out = tmp_path / "one"
     assert cli.main(["run", tiny_file, "--out", str(out)]) == 0

@@ -120,15 +120,43 @@ def test_live_contacts_move_mobile_nodes_only(tiny_config, monkeypatch):
     assert {id(s) for s in stepped} == {id(move) for _, move, _, _ in live.mobile}
 
 
-def test_tick_count_is_ceil_duration_over_tick():
+@pytest.mark.parametrize("sim_duration, tick", [
+    (10.0, 3.0), (0.3, 0.1), (0.7, 0.1), (7200.0, 1.0),
+    (math.nextafter(7200.0, math.inf), 1.0), (math.nextafter(7200.0, -math.inf), 1.0),
+    # 3 * 0.1 over 0.1 rounds up to 3.0000000000000004: its ceiling is one too many
+    (3 * 0.1, 0.1),
+], ids=["10-3", "0.3-0.1", "0.7-0.1", "7200-1", "7200+ulp-1", "7200-ulp-1",
+        "3x0.1-0.1"])
+def test_tick_count_is_ceil_duration_over_tick(sim_duration, tick, monkeypatch):
+    """``scenario.tick_count``, the ticks ``Simulation.run`` takes and the
+    ticks ``record_contacts`` records all count the k with k * tick below
+    sim_duration, where the quotient rounds too."""
+    ticks = 0
+    while ticks * tick < sim_duration:
+        ticks += 1
     cfg = scenario.parse_scenario(
-        "sim_duration = 10\ntick = 3\ninterval_range = 1,1\n"
         "group.audience.count = 2\ngroup.rescue.count = 1\ngroup.ambulance.count = 0\n"
         "group.media.count = 0\ngroup.sensors.count = 0\ngroup.exits.count = 0\n"
         "map.exit_count = 2")
+    # one message, created halfway, so that every case validates
+    interval = (sim_duration / 2, sim_duration / 2)
+    cfg = dataclasses.replace(cfg, sim_duration=sim_duration, tick=tick, traffic=(
+        dataclasses.replace(cfg.traffic, interval_range=interval)))
+    assert scenario.tick_count(cfg) == ticks
     sim = Simulation(cfg, seed=1)
     sim.run()
-    assert sim.tick_index == math.ceil(10 / 3)
+    assert sim.tick_index == ticks
+
+    recorded = []
+    at = engine.LiveContacts.at
+
+    def counted(self, tick_index):
+        recorded.append(tick_index)
+        return at(self, tick_index)
+
+    monkeypatch.setattr(engine.LiveContacts, "at", counted)
+    engine.record_contacts(cfg, 1)
+    assert recorded == list(range(ticks))
 
 
 def test_invalid_config_rejected():
@@ -377,7 +405,7 @@ def test_relay_rejected_by_pinned_copies_logs_drop_and_keeps_the_split():
         (1.0, "DROPPED", "M1", 1, -1, 1, "buffer-overflow"),
         (1.0, "DELIVERED", "M2", 1, 2, 1, "-"),
     ]
-    assert sim.nodes[0].buffer.get("M1").copies == 5
+    assert sim.nodes[0].buffer.copies["M1"].copies == 5
     assert sim.holders == {"M1": {0}, "M2": set()}
 
 

@@ -44,7 +44,7 @@ def test_eviction_is_fifo_oldest_received_first():
     accepted, evicted = b.insert(copy("M4", 300_000))
     assert accepted
     assert [c.msg.id for c in evicted] == ["M1"]
-    assert "M1" not in b and "M4" in b
+    assert "M1" not in b.copies and "M4" in b.copies
     assert b.occupancy == 900_000
 
 
@@ -73,7 +73,7 @@ def test_pinned_copies_survive_eviction():
     accepted, evicted = b.insert(copy("M3", 300_000))
     assert accepted
     assert [c.msg.id for c in evicted] == ["M2"]
-    assert "M1" in b
+    assert "M1" in b.copies
 
 
 def test_insert_rejected_when_pinned_copies_block():
@@ -227,7 +227,7 @@ def test_stationary_pair_is_examined_once():
 def test_transfer_completes_within_budget():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "highspeed")
-    pool.begin(0, 1, "highspeed", msg("M1", 300_000), key)
+    pool.begin(0, 1, "highspeed", msg("M1", 300_000), key, 0)
     completed = pool.advance({(0, "highspeed"): 20_000_000.0})
     assert [t.msg.id for t in completed] == ["M1"]
     assert pool.outgoing == {}
@@ -236,7 +236,7 @@ def test_transfer_completes_within_budget():
 def test_transfer_progresses_across_ticks():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key, 0)
     completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert completed == []
     assert pool.outgoing[(0, "bluetooth")].bytes_sent == 250_000.0
@@ -247,7 +247,7 @@ def test_transfer_progresses_across_ticks():
 def test_exact_boundary_completes():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 250_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 250_000), key, 0)
     completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert len(completed) == 1
 
@@ -256,11 +256,11 @@ def test_leftover_budget_chains_to_next_transfer():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     budgets = {(0, "bluetooth"): 250_000.0}
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key, 0)
     completed = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 150_000.0
-    pool.begin(0, 1, "bluetooth", msg("M2", 150_000, seq=2), key)
+    pool.begin(0, 1, "bluetooth", msg("M2", 150_000, seq=2), key, 0)
     completed = pool.advance(budgets)
     assert len(completed) == 1
     assert budgets[(0, "bluetooth")] == 0.0
@@ -270,11 +270,11 @@ def test_slot_missing_from_budgets_gets_full_tick_budget():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
     budgets = {}
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key, 0)
     completed = pool.advance(budgets)
     assert [t.msg.id for t in completed] == ["M1"]
     assert budgets == {(0, "bluetooth"): 150_000.0}
-    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key)
+    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key, 0)
     completed = pool.advance(budgets)
     assert completed == []
     assert pool.outgoing[(0, "bluetooth")].bytes_sent == 150_000.0
@@ -284,18 +284,18 @@ def test_slot_missing_from_budgets_gets_full_tick_budget():
 def test_one_outgoing_slot_per_interface():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key, 0)
     assert (0, "bluetooth") in pool.outgoing
     assert (0, "wifi") not in pool.outgoing
     with pytest.raises(AssertionError):
-        pool.begin(0, 2, "bluetooth", msg("M2", 100_000, seq=2), key)
+        pool.begin(0, 2, "bluetooth", msg("M2", 100_000, seq=2), key, 0)
 
 
 def test_completed_bytes_accounting():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "bluetooth")
-    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key)
+    pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key, 0)
     pool.advance({(0, "bluetooth"): 250_000.0})
-    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key)
+    pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key, 0)
     pool.advance({(0, "bluetooth"): 250_000.0})
     assert pool.completed_bytes[(0, "bluetooth")] == 300_000.0

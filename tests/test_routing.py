@@ -62,7 +62,7 @@ def test_spray_direct_delivery_allowed_with_one_copy():
     a.hold(mk(1, dst=7), copies=1)
     key = (1, 7, "wifi")
     assert on_contact_up(SPRAY, a, key, dst) == [
-        (True, a.buffer.get("M1"), key, dst)]
+        (True, a.buffer.copies["M1"], key, dst)]
 
 
 def test_spray_relays_when_budget_allows():
@@ -81,7 +81,7 @@ def test_may_forward_refuses_peer_that_buffers_or_had_it_delivered(router):
     a.hold(m, copies=10)
     holder.hold(m, copies=1)
     dst.delivered.add("M1")
-    copy = a.buffer.get("M1")
+    copy = a.buffer.copies["M1"]
     assert not may_forward(router, copy, holder)
     assert not may_forward(router, copy, dst)
     assert may_forward(router, copy, Node(3))
@@ -131,7 +131,7 @@ def test_forward_targets_matches_per_peer_offers(router, copies):
         for copy in held:
             msg = copy.msg
             for key, peer in contacts.items():
-                lacks = msg.id not in peer.buffer and msg.id not in peer.delivered
+                lacks = msg.id not in peer.buffer.copies and msg.id not in peer.delivered
                 if lacks and (peer.id == msg.dst or router is EPIDEMIC
                               or copies >= 2):
                     expected.append((peer.id == msg.dst, copy, key, peer))
@@ -187,7 +187,7 @@ def test_first_arrival_at_destination_counts_hops_per_transfer():
     out = complete(EPIDEMIC, n2, n3, m)
     assert out == (DELIVERED, 3, None, False)
     assert "M1" in n3.delivered
-    assert "M1" not in n3.buffer          # destination does not re-buffer
+    assert "M1" not in n3.buffer.copies   # destination does not re-buffer
 
 
 def test_second_arrival_at_destination_is_duplicate():
@@ -206,7 +206,7 @@ def test_epidemic_sender_keeps_copy_after_delivery():
     a, dst = Node(1), Node(3)
     a.hold(m)
     on_transfer_complete(EPIDEMIC, a, dst, m)
-    assert "M1" in a.buffer
+    assert "M1" in a.buffer.copies
 
 
 def test_spray_sender_consumes_copy_on_direct_delivery():
@@ -215,7 +215,7 @@ def test_spray_sender_consumes_copy_on_direct_delivery():
     a.hold(m, copies=3)
     out = on_transfer_complete(SPRAY, a, dst, m)
     assert out == (DELIVERED, 1, None, True)
-    assert "M1" not in a.buffer
+    assert "M1" not in a.buffer.copies
 
 
 def test_spray_relay_splits_budget_binary():
@@ -225,8 +225,8 @@ def test_spray_relay_splits_budget_binary():
     kind, _, copy, sender_deleted = on_transfer_complete(SPRAY, a, b, m)
     assert kind == RELAYED and not sender_deleted
     assert (copy.msg, copy.hops, copy.copies) == (m, 1, 5)
-    assert a.buffer.get("M1").copies == 5
-    assert "M1" not in b.buffer           # storing the copy is the caller's
+    assert a.buffer.copies["M1"].copies == 5
+    assert "M1" not in b.buffer.copies    # storing the copy is the caller's
 
 
 def test_spray_relay_splits_budget_source_mode():
@@ -235,7 +235,7 @@ def test_spray_relay_splits_budget_source_mode():
     a.hold(m, copies=7)
     _, _, copy, _ = on_transfer_complete(RouterConfig("spray-and-wait", 7, False),
                                          a, b, m)
-    assert a.buffer.get("M1").copies == 6
+    assert a.buffer.copies["M1"].copies == 6
     assert copy.copies == 1
 
 
@@ -247,8 +247,8 @@ def test_concurrent_relay_duplicate_discarded():
     assert complete(SPRAY, a, r, m)[0] == RELAYED
     out = complete(SPRAY, b, r, m)
     assert out == (RELAYED, 3, None, False)
-    assert r.buffer.get("M1").hops == 1     # first copy kept
-    assert b.buffer.get("M1").copies == 4   # the late sender keeps its budget
+    assert r.buffer.copies["M1"].hops == 1       # first copy kept
+    assert b.buffer.copies["M1"].copies == 4     # the late sender keeps its budget
 
 
 # --- oracle ----------------------------------------------------------------

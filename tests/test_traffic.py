@@ -65,10 +65,10 @@ def test_purge_strict_boundary():
                              creations=[(0.0, 0, 1, 100_000)])
     while sim.clock <= 5.0:             # age == ttl on the last of these ticks
         sim.tick()
-    assert "M1" in sim.nodes[0].buffer
+    assert "M1" in sim.nodes[0].buffer.copies
     assert _drops(sim) == []
     sim.tick()
-    assert "M1" not in sim.nodes[0].buffer
+    assert "M1" not in sim.nodes[0].buffer.copies
     assert _drops(sim) == [(6.0, "DROPPED", "M1", 0, -1, 0, "ttl-expiry")]
 
 
@@ -82,7 +82,7 @@ def test_purge_only_expired_copies():
         sim.tick()
     assert _drops(sim) == [(6.0, "DROPPED", "M1", 0, -1, 0, "ttl-expiry"),
                            (6.0, "DROPPED", "M1", 1, -1, 1, "ttl-expiry")]
-    assert "M2" in sim.nodes[0].buffer
-    assert "M1" not in sim.nodes[0].buffer and "M1" not in sim.nodes[1].buffer
+    assert "M2" in sim.nodes[0].buffer.copies
+    assert all("M1" not in sim.nodes[n].buffer.copies for n in (0, 1))
     sim.run()
     assert _drops(sim)[2:] == [(9.0, "DROPPED", "M2", 0, -1, 0, "ttl-expiry")]

@@ -51,7 +51,7 @@ class OneOfferPerEntry(ScriptedSimulation):
             completed = self.pool.advance(budgets)
             completed.sort(key=lambda tr: (
                 tr.msg.seq, tr.receiver,
-                self.nodes[tr.sender].buffer.get(tr.msg.id).hops,
+                self.nodes[tr.sender].buffer.copies[tr.msg.id].hops,
                 tr.sender, tr.iface))
             for tr in completed:
                 self._complete(tr, now)
@@ -65,7 +65,7 @@ class OneOfferPerEntry(ScriptedSimulation):
         for skey, tr in outgoing.items():
             if tr.contact_key not in self.active:
                 lost.append((skey, REASON_CONTACT_DOWN))
-            elif tr.msg.id not in self.nodes[tr.sender].buffer:
+            elif tr.msg.id not in self.nodes[tr.sender].buffer.copies:
                 lost.append((skey, REASON_TTL))
         for skey, reason in sorted(lost):
             tr = outgoing.pop(skey)
@@ -86,7 +86,7 @@ class OneOfferPerEntry(ScriptedSimulation):
                 if ckey not in self.active:
                     heappop(q)
                     continue
-                copy = buffer.get(msg_id)
+                copy = buffer.copies.get(msg_id)
                 if copy is None:
                     heappop(q)
                     continue
@@ -98,8 +98,9 @@ class OneOfferPerEntry(ScriptedSimulation):
                         self.cfg.router, (copy,), ((ckey, self.nodes[receiver_id]),)):
                     self.refused += 1
                     continue
-                # hops 0: the sort above, not the pool, orders completions
-                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey)
+                # the sort above, not the pool, orders completions
+                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey,
+                           copy.hops)
                 buffer.pinned.add(msg_id)
                 started += 1
                 break
