@@ -5,6 +5,11 @@ comments and dotted keys (``group.audience.count = 50``).  Every key is
 optional; an empty file yields the built-in stadium default scenario.
 Durations accept ``s``/``m``/``h`` suffixes, sizes accept ``k``/``M``
 (decimal: k = 10^3, M = 10^6).
+
+``parse_scenario`` checks syntax, types, finiteness and suffixes only,
+and stops at the first bad line.  Every rule on the values themselves
+(names, ranges, counts, limits, the map's shape) is stated once, in
+``validate``, which lists all the findings of a config.
 """
 
 from __future__ import annotations
@@ -201,15 +206,12 @@ def _pair(item_parser):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 2:
             raise ScenarioError(f"expected 'min,max' pair, got {text!r}")
-        pair = (item_parser(parts[0]), item_parser(parts[1]))
-        if pair[0] > pair[1]:
-            raise ScenarioError(f"range {text!r} has min > max")
-        return pair
+        return item_parser(parts[0]), item_parser(parts[1])
     return parse
 
 
-def _parse_list(text: str, item_parser=str) -> tuple:
-    return tuple(item_parser(p.strip()) for p in text.split(",") if p.strip())
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def parse_seed(text: str) -> int:
@@ -220,15 +222,11 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-def _choice(allowed: tuple[str, ...], what: str):
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise ScenarioError(f"unknown {what} {text!r}")
-        return text
-    return parse
-
-
-parse_protocol = _choice(PROTOCOLS, "protocol")
+def parse_protocol(text: str) -> str:
+    """A protocol name from ``--protocols`` or a sweep axis."""
+    if text not in PROTOCOLS:
+        raise ScenarioError(f"unknown protocol {text!r}")
+    return text
 
 
 # --- the scenario format: one row per key ----------------------------------
@@ -243,7 +241,7 @@ _KEYS = {
     "ttl": ("traffic", "ttl", parse_duration),
     "interval_range": ("traffic", "interval_range", _pair(parse_duration)),
     "size_range": ("traffic", "size_range", _pair(parse_size)),
-    "router.protocol": ("router", "protocol", parse_protocol),
+    "router.protocol": ("router", "protocol", str),
     "router.copies": ("router", "copy_budget", int),
     "router.binary": ("router", "binary_mode", _parse_bool),
     "map": ("map_source", "source", str),
@@ -255,13 +253,12 @@ _KEYS = {
 # group.<id>.<key> -> (GroupConfig field, parse)
 _GROUP_FIELDS = {
     "count": ("count", int),
-    "movement": ("movement", _choice(MOVEMENT_MODELS, "movement model")),
+    "movement": ("movement", str),
     "speed": ("speed_range", _pair(_parse_float)),
     "pause": ("pause_range", _pair(parse_duration)),
     "interfaces": ("interfaces", _parse_list),
-    "roles": ("role_flags",
-              lambda text: _parse_list(text, _choice(ROLE_FLAGS, "role flag"))),
-    "placement": ("placement", _choice(PLACEMENTS, "placement")),
+    "roles": ("role_flags", _parse_list),
+    "placement": ("placement", str),
 }
 
 # interface.<name>.<key> -> (InterfaceConfig field, parse)
@@ -277,10 +274,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text into a fully populated ScenarioConfig.
 
     Defaults come from the stadium scenario; any key present overrides the
-    default.  ``group.<id>.count = 0`` removes a default group, and
-    ``movement = stationary`` sets speed 0,0 unless the file sets the
-    group's speed.  Unknown keys are an error, as are malformed lines and
-    type mismatches; the first bad line in file order is reported.
+    default.  ``group.<id>.count = 0`` removes a default group; any other
+    count stays for ``validate`` to judge.  ``movement = stationary`` sets
+    speed 0,0 unless the file sets the group's speed.  Unknown keys are an
+    error, as are malformed lines and type mismatches; the first bad line
+    in file order is reported.
     """
     sections: dict[str, dict] = {"": {}, "traffic": {}, "router": {},
                                  "map_source": {}}
@@ -331,7 +329,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     top = sections.pop("")
     for section, fields in sections.items():
         top[section] = replace(getattr(cfg, section), **fields)
-    return replace(cfg, groups=tuple(g for g in all_groups.values() if g.count > 0),
+    return replace(cfg, groups=tuple(g for g in all_groups.values() if g.count != 0),
                    interfaces=all_interfaces, **top)
 
 
@@ -350,7 +348,7 @@ def tick_count(cfg: ScenarioConfig) -> int:
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Check every invariant; returns one finding string per violation."""
     findings: list[str] = []
-    min_interval = cfg.traffic.interval_range[0]
+    min_interval = min(cfg.traffic.interval_range)   # the order is judged below
     if cfg.sim_duration <= 0:
         findings.append("sim_duration: must be > 0")
     if cfg.tick <= 0:

@@ -182,14 +182,10 @@ def generate_stadium_map(ring_radius: float, exit_count: int, road_length: float
 
     Deterministic for fixed parameters and rng seed.  The ring is a jittered
     polygon; each exit sits past the ring on a radial corridor and continues
-    outward along a road.
+    outward along a road.  The parameters are not judged here:
+    ``scenario.validate`` holds the rules on the map's shape, and every
+    run checks them before it builds its map.
     """
-    if ring_radius <= 0:
-        raise MapError("ring_radius must be > 0")
-    if exit_count < 2:
-        raise MapError("exit_count must be >= 2")
-    if road_length <= 0:
-        raise MapError("road_length must be > 0")
     ring_segments = max(16, 2 * exit_count)
 
     corridor = max(10.0, 0.2 * ring_radius)

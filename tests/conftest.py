@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from collections import defaultdict, deque
 
 import pytest
@@ -51,7 +51,6 @@ interface.instant.range = 1
 
 def desk_config(protocol: str = "epidemic", buffer: str = "5M",
                 sim_duration: float | None = None) -> scenario.ScenarioConfig:
-    import dataclasses
     cfg = scenario.parse_scenario(DESK_TEXT.format(protocol=protocol, buffer=buffer))
     if sim_duration is not None:
         cfg = dataclasses.replace(cfg, sim_duration=float(sim_duration))
@@ -102,16 +101,6 @@ class BruteForceContacts:
         return up, down
 
 
-def first_tick_at(t: float, tick: float) -> int:
-    """The first tick index whose clock, ``index * tick``, is at or after ``t``."""
-    index = max(0, math.ceil(t / tick))
-    while index > 0 and (index - 1) * tick >= t:
-        index -= 1
-    while index * tick < t:
-        index += 1
-    return index
-
-
 def scripted_trace(cfg, contacts) -> ContactTrace:
     """A contact trace following a fixed schedule.
 
@@ -119,12 +108,17 @@ def scripted_trace(cfg, contacts) -> ContactTrace:
     with up_from <= t < down_at; entries of one (pair, interface) may
     overlap.
     """
-    ticks = first_tick_at(cfg.sim_duration, cfg.tick)
+    def first_tick_at(t: float) -> int:
+        """The first tick index whose clock, ``index * tick``, is at or
+        after ``t``: the tick count of the run cut at ``t``."""
+        return scenario.tick_count(dataclasses.replace(cfg, sim_duration=t))
+
+    ticks = scenario.tick_count(cfg)
     # per contact key: tick index -> change in the number of entries covering it
     steps: dict[tuple[int, int, str], dict[int, int]] = defaultdict(
         lambda: defaultdict(int))
     for a, b, iface, up, down in contacts:
-        first, last = first_tick_at(up, cfg.tick), first_tick_at(down, cfg.tick)
+        first, last = first_tick_at(up), first_tick_at(down)
         if first < min(last, ticks):
             key = (a, b, iface) if a < b else (b, a, iface)
             steps[key][first] += 1

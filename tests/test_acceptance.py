@@ -131,9 +131,8 @@ def test_criterion_2_spray_copy_bound():
         cfg = scenario.parse_scenario(
             SPRAY20.format(copies=copies, binary="true" if binary else "false"))
         sim = Simulation(cfg, seed=run_index + 1)
-        duration = cfg.sim_duration
         max_held = 0
-        while sim.clock < duration:
+        for _ in range(scenario.tick_count(cfg)):
             sim.tick()
             for held in sim.holders.values():
                 if len(held) > max_held:
@@ -162,7 +161,7 @@ def desk_results():
                 cfg = scenario.parse_scenario(
                     DESK_TEXT.format(protocol=protocol, buffer=buffer))
                 sim = Simulation(cfg, seed)
-                while sim.clock < cfg.sim_duration:
+                for _ in range(scenario.tick_count(cfg)):
                     sim.tick()
                     if (sim.tick_index - 1) % 199 == 0:
                         check_state(sim)
@@ -332,7 +331,7 @@ def test_criterion_7_traffic_statistics():
     state = traffic.TrafficState(
         traffic.schedule_next(0.0, cfg.traffic.interval_range, rng))
     sizes = []
-    last_tick = cfg.sim_duration - cfg.tick
+    last_tick = (scenario.tick_count(cfg) - 1) * cfg.tick
     while state.next_creation_at <= last_tick:
         msg = traffic.create_message(state, rng, [0], [1], cfg.traffic,
                                      state.next_creation_at)

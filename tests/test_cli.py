@@ -118,7 +118,25 @@ def test_validate_rejects_runs_too_long_to_finish(tmp_path, capsys, line):
      "line 13: empty group name"),
     (["interface..range = 5", "interface..bandwidth = 1k"],
      "line 13: empty interface name"),
-], ids=["huge-range", "huge-ring", "huge-road", "empty-group", "empty-interface"])
+    # the parser reads names, pairs and counts as written; each rule on
+    # their values is validate's alone
+    (["group.audience.movement = walk"], "group.audience.movement: unknown model"),
+    (["group.sensors.placement = roof"], "group.sensors.placement: unknown placement"),
+    # media holds no required role, so no other group rule fires
+    (["group.media.roles = bystander"], "group.media.roles: unknown role"),
+    (["router.protocol = flooding"], "router.protocol: unknown protocol"),
+    (["interval_range = 60,30"], "interval_range: need 0 < min <= max"),
+    (["size_range = 300k,100k"], "size_range: need 0 < min <= max"),
+    (["group.rescue.speed = 5,2"], "group.rescue.speed: need 0 <= min <= max"),
+    (["group.audience.pause = 60,0"], "group.audience.pause: need 0 <= min <= max"),
+    (["group.media.count = -5"], "group.media.count: must be >= 1"),
+    (["map.ring_radius = 0"], "map.ring_radius: must be > 0"),
+    (["map.exit_count = 1"], "map.exit_count: must be >= 2"),
+    (["map.road_length = 0"], "map.road_length: must be > 0"),
+], ids=["huge-range", "huge-ring", "huge-road", "empty-group", "empty-interface",
+        "movement", "placement", "role", "protocol", "interval-order", "size-order",
+        "speed-order", "pause-order", "negative-count", "ring-radius", "exit-count",
+        "road-length"])
 def test_unbuildable_inputs_exit_1_with_one_line(tmp_path, capsys, lines, reason):
     keys = [line.split(" = ")[0] for line in lines]
     kept = [ln for ln in TINY.splitlines()
@@ -430,7 +448,8 @@ def test_run_and_sweep_report_findings_as_validate_does(tmp_path, capsys):
 
 @pytest.mark.parametrize("own", [
     "buffer_size = 200k", "router.protocol = spray-and-wait\nrouter.copies = 0",
-], ids=["buffer", "copies"])
+    "router.protocol = flooding",
+], ids=["buffer", "copies", "protocol"])
 def test_sweep_checks_its_runs_not_the_files_axis_fields(tmp_path, capsys,
                                                          monkeypatch, own):
     # the file's own buffer or protocol cannot run, but no run of the sweep

@@ -310,7 +310,7 @@ def test_no_buffered_copy_outlives_its_ttl(protocol):
     cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(cfg.traffic,
                                                                ttl=240.0))
     sim = Simulation(cfg, 1)
-    while sim.clock < cfg.sim_duration:
+    for _ in range(scenario.tick_count(cfg)):
         sim.tick()
         check_state(sim)
     assert any(e[1] == "DROPPED" and e[6] == "ttl-expiry" for e in sim.events)
@@ -358,7 +358,7 @@ def admission_run(cfg, contacts, creations):
     """A scripted run checked after every tick and audited for conservation
     at the end; returns the simulation and its events without contacts."""
     sim = ScriptedSimulation(cfg, 1, contacts, creations)
-    while sim.clock < cfg.sim_duration:
+    for _ in range(scenario.tick_count(cfg)):
         sim.tick()
         check_state(sim)
     events, _ = sim.run()

@@ -65,8 +65,14 @@ def test_mobile_group_pause_defaults_to_0_120():
 
 
 def test_interval_range_min_above_max_is_an_error():
-    with pytest.raises(ScenarioError):
-        parse_scenario("interval_range = 60,30")
+    # the parser reads the pair as written; validate judges its order
+    cfg = parse_scenario("interval_range = 60,30")
+    assert cfg.traffic.interval_range == (60.0, 30.0)
+    assert validate(cfg) == ["interval_range: need 0 < min <= max"]
+    # the message limit reads the smaller value, whichever is written first
+    assert validate(parse_scenario("interval_range = 60,1e-5")) == [
+        "interval_range: up to 4.32e+09 messages exceed the limit of 1e+06",
+        "interval_range: need 0 < min <= max"]
 
 
 def test_unknown_key_reports_line_number():

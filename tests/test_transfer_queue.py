@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 import pytest
 
 from dtnsim import routing, scenario
-from dtnsim.reports import ABORTED, DROPPED, REASON_CONTACT_DOWN, REASON_OVERFLOW, REASON_TTL
+from dtnsim.reports import ABORTED, DROPPED, REASON_OVERFLOW, REASON_TTL
 
 from conftest import ScriptedSimulation
 
@@ -31,7 +31,8 @@ BATCHES = 6
 
 class OneOfferPerEntry(ScriptedSimulation):
     """A ScriptedSimulation whose transfer queue is the one-entry-per-offer
-    design; it counts the pinned heads it waits on."""
+    design; it counts the pinned heads it waits on.  Its aborts are the
+    engine's own ``_abort_lost``."""
 
     pinned_waits = 0
 
@@ -58,19 +59,6 @@ class OneOfferPerEntry(ScriptedSimulation):
             started = self._start_transfers()
             if not completed and not started:
                 break
-
-    def _abort_lost(self, now):
-        outgoing = self.pool.outgoing
-        lost = []
-        for skey, tr in outgoing.items():
-            if tr.contact_key not in self.active:
-                lost.append((skey, REASON_CONTACT_DOWN))
-            elif tr.msg.id not in self.nodes[tr.sender].buffer.copies:
-                lost.append((skey, REASON_TTL))
-        for skey, reason in sorted(lost):
-            tr = outgoing.pop(skey)
-            self.nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
-            self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0, reason)
 
     def _start_transfers(self):
         started = 0

@@ -195,12 +195,3 @@ def test_stadium_map_deterministic():
     b = generate_stadium_map(120.0, 6, 100.0, random.Random(42))
     assert a.vertices == b.vertices
     assert a.edges == b.edges
-
-
-def test_stadium_map_degenerate_params():
-    with pytest.raises(MapError):
-        generate_stadium_map(0.0, 8, 100.0, random.Random(1))
-    with pytest.raises(MapError):
-        generate_stadium_map(100.0, 1, 100.0, random.Random(1))
-    with pytest.raises(MapError):
-        generate_stadium_map(100.0, 4, 0.0, random.Random(1))
