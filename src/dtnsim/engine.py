@@ -25,7 +25,7 @@ because every other one has spent its slot's budget.
 
 Every copy that enters a buffer, created or relayed, goes through
 ``Simulation._admit``, which logs the buffer-overflow drops, keeps the
-holders index and the ledger, and queues the copy's offers.
+ledger and queues the copy's offers; the buffers alone record who holds it.
 ``routing.on_transfer_complete`` only decides: its outcome names the event
 to log and the copy, if any, for the receiver to store.
 
@@ -186,12 +186,10 @@ class Simulation:
         self.destinations = sorted(n.id for n in self.nodes
                                    if "message_destination" in n.group.role_flags)
 
-        self.bandwidth = {name: ic.bandwidth for name, ic in cfg.interfaces.items()}
-
         self.tick_index = 0
         self.events: list[Event] = []
-        self.pool = TransferPool({name: bw * cfg.tick
-                                  for name, bw in self.bandwidth.items()})
+        self.pool = TransferPool({name: ic.bandwidth * cfg.tick
+                                  for name, ic in cfg.interfaces.items()})
         self.active: dict[tuple[int, int, str], float] = {}
         # per node: its live contacts, contact key -> peer, in order of coming up
         self.contacts_of: list[dict[tuple[int, int, str], NodeState]] = [
@@ -208,7 +206,6 @@ class Simulation:
 
         # conservation audit: per message [born, dropped, consumed]
         self.ledger: dict[str, list[int]] = {}
-        self.holders: dict[str, set[int]] = {}
         self.expiry: deque[Message] = deque()
         self.max_msg_size = 0
         self.refused = 0
@@ -218,6 +215,15 @@ class Simulation:
     @property
     def clock(self) -> float:
         return self.tick_index * self.cfg.tick
+
+    @property
+    def holders(self) -> dict[str, set[int]]:
+        """Message id -> ids of the nodes whose buffers hold a copy of it."""
+        held: dict[str, set[int]] = {}
+        for node in self.nodes:
+            for msg_id in node.buffer.copies:
+                held.setdefault(msg_id, set()).add(node.id)
+        return held
 
     def log(self, time: float, kind: str, msg_id: str, a: int, b: int,
             hops: int, reason: str) -> None:
@@ -252,15 +258,13 @@ class Simulation:
     def _purge(self, now: float) -> None:
         expiry = self.expiry
         while expiry and expiry[0].expired(now):
-            msg = expiry.popleft()
-            held = self.holders.pop(msg.id, None)
-            if not held:
-                continue
-            counters = self.ledger[msg.id]
-            for nid in sorted(held):
-                copy = self.nodes[nid].buffer.remove(msg.id)
-                counters[1] += 1
-                self.log(now, DROPPED, msg.id, nid, NO_NODE, copy.hops, REASON_TTL)
+            msg_id = expiry.popleft().id
+            counters = self.ledger[msg_id]
+            for node in self.nodes:
+                if msg_id in node.buffer.copies:
+                    hops = node.buffer.remove(msg_id).hops
+                    counters[1] += 1
+                    self.log(now, DROPPED, msg_id, node.id, NO_NODE, hops, REASON_TTL)
 
     # --- phase 2: traffic ------------------------------------------------------
 
@@ -289,15 +293,11 @@ class Simulation:
         ``copy`` itself when it cannot fit, is dropped for buffer overflow."""
         accepted, evicted = node.buffer.insert(copy)
         for lost in (evicted if accepted else (copy,)):
-            # an evicted copy leaves the holders; a rejected one never joined
             msg_id = lost.msg.id
             self.ledger[msg_id][1] += 1
-            if accepted:
-                self.holders[msg_id].discard(node.id)
             self.log(now, DROPPED, msg_id, node.id, NO_NODE, lost.hops,
                      REASON_OVERFLOW)
         if accepted:
-            self.holders.setdefault(copy.msg.id, set()).add(node.id)
             contacts = self.contacts_of[node.id]
             if contacts:
                 self._queue(node.id, routing.offer_for_message(
@@ -475,7 +475,6 @@ class Simulation:
         counters = self.ledger[msg_id]
         if sender_deleted:
             counters[2] += 1
-            self.holders[msg_id].discard(tr.sender)
         if copy is not None:
             counters[0] += 1
             self._admit(self.nodes[tr.receiver], copy, now)
@@ -483,15 +482,16 @@ class Simulation:
     # --- audits -----------------------------------------------------------------
 
     def _audit(self, summary: MetricsSummary) -> None:
+        holders = self.holders
         for msg_id, (born, dropped, consumed) in self.ledger.items():
-            held = len(self.holders.get(msg_id, ()))
+            held = len(holders.get(msg_id, ()))
             if born != dropped + consumed + held:
                 raise SimulationError(
                     f"conservation violated for {msg_id}: born {born} != "
                     f"dropped {dropped} + consumed {consumed} + held {held}")
-        limit_window = self.cfg.sim_duration
+        interfaces, window = self.cfg.interfaces, self.cfg.sim_duration
         for (nid, iface), sent in self.pool.completed_bytes.items():
-            limit = self.bandwidth[iface] * limit_window + self.max_msg_size
+            limit = interfaces[iface].bandwidth * window + self.max_msg_size
             if sent > limit + 1e-6:
                 raise SimulationError(
                     f"throughput violated at node {nid} iface {iface}: "

@@ -6,7 +6,8 @@ uniform random vertex, then repeatedly picks a uniform random destination
 vertex, follows the shortest path at a per-leg speed drawn from the
 group's range, and pauses for a draw from the group's pause range.
 Arrival overshoot is truncated: the residual tick time is not carried into
-the next leg.
+the next leg.  A node whose progress reached its leg's end waits while
+``pause_until`` is ahead, then plans its next leg at the start of a step.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ import random
 from .scenario import GroupConfig
 from .worldmap import MapGraph, shortest_path
 
-MOVING = "moving"
-PAUSED = "paused"
-
 
 class MovementState:
-    __slots__ = ("mode", "position", "path", "seg_ends", "seg_cursor",
+    __slots__ = ("position", "path", "seg_ends", "seg_cursor",
                  "progress", "speed", "pause_until")
 
     def __init__(self, vertex: int, position: tuple[float, float]):
-        self.mode = MOVING
         self.position = position
         # the current leg; the next leg starts at its last vertex
         self.path: tuple[int, ...] = (vertex,)
@@ -95,14 +92,13 @@ def plan_next_leg(state: MovementState, graph: MapGraph, group: GroupConfig,
         pick += 1
     _set_path(state, graph, shortest_path(graph, vertex, pick))
     state.speed = rng.uniform(group.speed_range[0], group.speed_range[1])
-    state.mode = MOVING
     return state
 
 
 def step(state: MovementState, now: float, dt: float, graph: MapGraph,
          group: GroupConfig, rng: random.Random) -> MovementState:
     """Advance one tick covering [now, now + dt)."""
-    if state.mode == PAUSED:
+    if state.progress >= state.seg_ends[-1]:
         if state.pause_until > now:
             return state
         plan_next_leg(state, graph, group, rng)
@@ -113,7 +109,6 @@ def step(state: MovementState, now: float, dt: float, graph: MapGraph,
         # arrival: truncate overshoot, pause starting at the tick boundary
         state.progress = total
         state.position = graph.vertices[state.path[-1]]
-        state.mode = PAUSED
         state.pause_until = now + dt + rng.uniform(group.pause_range[0],
                                                    group.pause_range[1])
         return state

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from statistics import median
 
+from .scenario import parse_protocol
+
 # Event kinds: an event is (time, kind, msg_id, node_a, node_b, hops, reason).
 CREATED = "CREATED"
 RELAYED = "RELAYED"
@@ -47,7 +49,7 @@ def _metric(text: str) -> float:
 # MetricsSummary field, parser).  The first three columns name the run and
 # have no summary field.
 _COLUMNS = (
-    ("protocol", None, str),
+    ("protocol", None, parse_protocol),
     ("buffer_bytes", None, int),
     ("seed", None, int),
     ("created", "created", int),

@@ -208,7 +208,8 @@ def _conservation_checks(sim, events, summary, protocol):
         occ = sum(c.msg.size for c in node.buffer.copies.values())
         assert occ == node.buffer.occupancy <= node.buffer.capacity
     for (nid, iface), sent in sim.pool.completed_bytes.items():
-        limit = sim.bandwidth[iface] * sim.cfg.sim_duration + sim.max_msg_size
+        limit = (sim.cfg.interfaces[iface].bandwidth * sim.cfg.sim_duration
+                 + sim.max_msg_size)
         assert sent <= limit + 1e-6
 
 

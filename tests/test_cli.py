@@ -352,6 +352,8 @@ def test_plot_missing_column_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("column, value", [
     ("latency_avg_s", "inf"),
     ("buffer_bytes", "5M"),
+    # charts write the protocol into SVG text, unescaped
+    ("protocol", "a<b &c"),
 ])
 def test_plot_bad_csv_value_exits_1_with_one_line(tmp_path, capsys, column, value):
     # two buffer sizes, so that an infinite median would ask for a log scale
@@ -363,9 +365,11 @@ def test_plot_bad_csv_value_exits_1_with_one_line(tmp_path, capsys, column, valu
     cells = lines[1].split(",")
     cells[at] = value
     path.write_text("\n".join([lines[0], ",".join(cells), lines[2]]) + "\n")
-    assert cli.main(["plot", str(path), "--out", str(tmp_path / "charts")]) == 1
+    out = tmp_path / "charts"
+    assert cli.main(["plot", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"bad {column} value {value!r}" in err[0], err
+    assert not out.exists()
 
 
 def test_plot_header_only_csv_exits_1_with_one_line(tmp_path, capsys):

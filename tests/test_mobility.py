@@ -35,7 +35,7 @@ def test_stationary_sensors_spread_over_ring():
 def test_mobile_node_starts_on_a_vertex_with_a_path():
     g = generate_stadium_map(100.0, 4, 50.0, random.Random(1))
     st = mobility.start(AUDIENCE, g, random.Random(7))
-    assert st.mode == mobility.MOVING
+    assert st.progress == 0.0 < st.seg_ends[-1]     # not arrived
     assert st.position == g.vertices[st.path[0]]
     assert len(st.path) >= 2
     assert 0.4 <= st.speed <= 1.0
@@ -104,8 +104,7 @@ def test_arrival_truncates_overshoot_and_pauses():
     st.progress = 9.5
     st.speed = 1.0
     mobility.step(st, 100.0, 2.0, g, RUNNER, random.Random(0))
-    assert st.mode == mobility.PAUSED
-    assert st.progress == 10.0
+    assert st.progress == st.seg_ends[-1] == 10.0   # arrived
     assert st.position == g.vertices[st.path[-1]]
     # zero pause range: resumes exactly at the next tick boundary
     assert st.pause_until == 102.0
@@ -118,7 +117,7 @@ def test_pause_draw_within_range_and_resume():
     st = mobility.start(group, g, random.Random(3))
     rng = random.Random(4)
     now = 0.0
-    while st.mode == mobility.MOVING:
+    while st.progress < st.seg_ends[-1]:
         mobility.step(st, now, 1.0, g, group, rng)
         now += 1.0
     assert now + 10.0 <= st.pause_until <= now + 20.0
@@ -128,7 +127,7 @@ def test_pause_draw_within_range_and_resume():
         assert st.position == frozen
         now += 1.0
     mobility.step(st, now, 1.0, g, group, rng)
-    assert st.mode == mobility.MOVING
+    assert st.progress < st.seg_ends[-1]    # left on its next leg
 
 
 def _distance_to_edges(g, p):
@@ -170,14 +169,14 @@ def test_oscillation_distance_accounting_on_single_edge():
     advancing_ticks = 0
     traveled = 0.0
     for t in range(600):
-        was_paused = st.mode == mobility.PAUSED
+        was_arrived = st.progress == st.seg_ends[-1]
         x_before = st.position[0]
         mobility.step(st, float(t), 1.0, g, group, rng)
         delta = abs(st.position[0] - x_before)
         if delta > 0:
             advancing_ticks += 1
             traveled += delta
-        if st.mode == mobility.PAUSED and not was_paused:
+        if st.progress == st.seg_ends[-1] and not was_arrived:
             legs += 1
     # distance equals speed * moving time within one tick's slack per leg
     ideal = 0.7 * advancing_ticks * 1.0
