@@ -64,37 +64,38 @@ def _print_summary(s: reports.MetricsSummary) -> None:
     print(f"dropped              = {s.dropped_total}")
 
 
-def _map_findings(cfg: scenario.ScenarioConfig) -> list[str]:
-    """Whether the map of ``cfg`` builds."""
-    try:
-        engine.load_map(cfg.map_source, cfg.seed)
-    except engine.SimulationError as exc:
-        return [f"map: {exc}"]
-    return []
-
-
-def _findings(cfg: scenario.ScenarioConfig) -> list[str]:
-    """Scenario invariants and, once those hold, whether the map builds."""
-    return scenario.validate(cfg) or _map_findings(cfg)
-
-
-def _load_scenario(path: str) -> tuple[str, scenario.ScenarioConfig]:
-    """The text and config of a scenario file that reads, parses and has no
-    findings; every command that takes a scenario loads it here."""
-    text = _read(path)
-    cfg = scenario.parse_scenario(text)
-    findings = _findings(cfg)
+def _check_runs(cfgs: list[scenario.ScenarioConfig]) -> None:
+    """The one check before a command's runs start; ``cfgs`` are the
+    configs of those runs.  A finding every run has is raised once, worded
+    as ``validate`` words it; one that only some runs have is raised for
+    each of them, named by its run.  Only then must the map build: the
+    runs differ only in protocol and buffer, so the first names it."""
+    checked = [(cfg, scenario.validate(cfg)) for cfg in cfgs]
+    shared = [f for f in checked[0][1] if all(f in found for _, found in checked)]
+    findings = shared + [
+        f"{cfg.router.protocol} {reports.format_bytes(cfg.buffer_bytes)}: {f}"
+        for cfg, found in checked for f in found if f not in shared]
+    if not findings:
+        try:
+            engine.load_map(cfgs[0].map_source, cfgs[0].seed)
+        except engine.SimulationError as exc:
+            findings = [f"map: {exc}"]
     if findings:
         raise Findings(*findings)
-    return text, cfg
+
+
+def _load_scenario(path: str) -> scenario.ScenarioConfig:
+    """The config of a scenario file that reads and parses."""
+    return scenario.parse_scenario(_read(path))
 
 
 def cmd_validate(args) -> None:
-    _load_scenario(args.config)
+    _check_runs([_load_scenario(args.config)])
 
 
 def cmd_run(args) -> None:
-    _, cfg = _load_scenario(args.config)
+    cfg = _load_scenario(args.config)
+    _check_runs([cfg])
     seed = cfg.seed if args.seed is None else _flag("--seed", args.seed,
                                                     scenario.parse_seed)
     _out_dir(args.out)
@@ -114,20 +115,11 @@ def _sweep_worker(job) -> tuple[str, int, int, reports.MetricsSummary]:
 
 def _sweep_configs(base: scenario.ScenarioConfig, protocols: list[str],
                    buffers: list[int]) -> list[scenario.ScenarioConfig]:
-    """The protocol x buffer configs of a sweep, each checked once before
-    any runs.  A finding every run has is raised once, worded as
-    ``validate`` words it; one that only some runs have is raised for each
-    of them, named by its run.  The swept fields of ``base`` itself are
-    not checked: no run uses them."""
+    """The checked protocol x buffer configs of a sweep.  The swept fields
+    of ``base`` itself are not checked: no run uses them."""
     cfgs = [cfg for p in scenario.expand_sweep(base, "router.protocol", protocols)
             for cfg in scenario.expand_sweep(p, "buffer_bytes", buffers)]
-    checked = [(cfg, scenario.validate(cfg)) for cfg in cfgs]
-    shared = [f for f in checked[0][1] if all(f in found for _, found in checked)]
-    findings = shared + [
-        f"{cfg.router.protocol} {reports.format_bytes(cfg.buffer_bytes)}: {f}"
-        for cfg, found in checked for f in found if f not in shared]
-    if findings:
-        raise Findings(*findings)
+    _check_runs(cfgs)
     return cfgs
 
 
@@ -135,6 +127,8 @@ def sweep_runs(config_text: str, protocols: list[str], buffers: list[int],
                seeds: list[int], workers: int | None = None,
                ) -> list[tuple[str, int, int, reports.MetricsSummary]]:
     """Cross-product execution, optionally in parallel; sorted results.
+    Runs with findings, or a map that does not build, raise ``Findings``
+    before any run starts.
 
     Contacts depend on neither the protocol nor the buffer size, so each
     seed's contacts are recorded once and every run of that seed replays
@@ -192,11 +186,11 @@ def _axis(flag: str, text: str, parse) -> list:
 
 
 def cmd_sweep(args) -> None:
-    # the file's own protocol and buffer are not checked: the axes replace them
-    base = scenario.parse_scenario(_read(args.config))
+    base = _load_scenario(args.config)
     buffers = _axis("--buffers", args.buffers, scenario.parse_size)
     protocols = _axis("--protocols", args.protocols, scenario.parse_protocol)
-    seeds = _axis("--seeds", args.seeds, scenario.parse_seed)
+    seeds = ([base.seed] if args.seeds is None
+             else _axis("--seeds", args.seeds, scenario.parse_seed))
     if not buffers or not protocols or not seeds:
         raise UsageError("empty sweep axis")
     threads = os.environ.get("DTNSIM_THREADS") or "0"
@@ -204,9 +198,6 @@ def cmd_sweep(args) -> None:
         raise UsageError(f"DTNSIM_THREADS must be a non-negative integer, "
                          f"got {threads!r}")
     cfgs = _sweep_configs(base, protocols, buffers)
-    findings = _map_findings(base)
-    if findings:
-        raise Findings(*findings)
     _out_dir(args.out)
     results = _sweep(cfgs, seeds, int(threads))
     csv_path = os.path.join(args.out, "metrics.csv")
@@ -253,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--buffers", default="5M,10M,15M,20M")
     p.add_argument("--protocols", default=",".join(scenario.PROTOCOLS))
-    p.add_argument("--seeds", default="1")
+    p.add_argument("--seeds", default=None,
+                   help="comma-separated seeds (default: the file's seed)")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)
 

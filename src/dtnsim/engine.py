@@ -201,8 +201,8 @@ class Simulation:
         self.ready: set[tuple[int, str]] = set()
 
         self.traffic_rng = rng_stream(seed, "traffic")
-        self.traffic_state = traffic.TrafficState(
-            traffic.schedule_next(0.0, cfg.traffic.interval_range, self.traffic_rng))
+        self.next_creation_at = traffic.schedule_next(
+            0.0, cfg.traffic.interval_range, self.traffic_rng)
 
         # conservation audit: per message [born, dropped, consumed]
         self.ledger: dict[str, list[int]] = {}
@@ -239,7 +239,7 @@ class Simulation:
         for _ in range(self.tick_index, tick_count(self.cfg)):
             self.tick()
         summary = compute_metrics(self.events)
-        self._audit(summary)
+        self._audit()
         return self.events, summary
 
     def tick(self) -> None:
@@ -269,12 +269,13 @@ class Simulation:
     # --- phase 2: traffic ------------------------------------------------------
 
     def _create_due(self, now: float) -> None:
-        state = self.traffic_state
-        while state.next_creation_at <= now:
-            msg = traffic.create_message(state, self.traffic_rng, self.sources,
-                                         self.destinations, self.cfg.traffic, now)
-            state.next_creation_at = traffic.schedule_next(
-                state.next_creation_at, self.cfg.traffic.interval_range,
+        while self.next_creation_at <= now:
+            # the ledger has one entry per message created so far
+            msg = traffic.create_message(len(self.ledger) + 1, self.traffic_rng,
+                                         self.sources, self.destinations,
+                                         self.cfg.traffic, now)
+            self.next_creation_at = traffic.schedule_next(
+                self.next_creation_at, self.cfg.traffic.interval_range,
                 self.traffic_rng)
             self._admit_created(msg, now)
 
@@ -481,7 +482,7 @@ class Simulation:
 
     # --- audits -----------------------------------------------------------------
 
-    def _audit(self, summary: MetricsSummary) -> None:
+    def _audit(self) -> None:
         holders = self.holders
         for msg_id, (born, dropped, consumed) in self.ledger.items():
             held = len(holders.get(msg_id, ()))

@@ -13,30 +13,20 @@ from .netcore import Message
 from .scenario import TrafficConfig
 
 
-class TrafficState:
-    __slots__ = ("next_creation_at", "counter")
-
-    def __init__(self, first_at: float):
-        self.next_creation_at = first_at
-        self.counter = 0
-
-
 def schedule_next(now: float, interval_range: tuple[float, float],
                   rng: random.Random) -> float:
     return now + rng.uniform(interval_range[0], interval_range[1])
 
 
-def create_message(state: TrafficState, rng: random.Random, sources: list[int],
+def create_message(seq: int, rng: random.Random, sources: list[int],
                    destinations: list[int], traffic: TrafficConfig,
                    now: float) -> Message:
-    """Draw source, destination and size; advance counters.
+    """Draw source, destination and size of message number ``seq``.
 
     The caller buffers the message at its source, logs the CREATED event
     and (under spray-and-wait) assigns the copy budget.
     """
-    state.counter += 1
     src = sources[rng.randrange(len(sources))]
     dst = destinations[rng.randrange(len(destinations))]
     size = rng.randint(traffic.size_range[0], traffic.size_range[1])
-    return Message(f"M{state.counter}", state.counter, src, dst, size,
-                   now, traffic.ttl)
+    return Message(f"M{seq}", seq, src, dst, size, now, traffic.ttl)

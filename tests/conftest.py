@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict, deque
+from pathlib import Path
 
 import pytest
 
@@ -11,21 +12,7 @@ from dtnsim import scenario
 from dtnsim.engine import ContactTrace, Simulation
 from dtnsim.netcore import Message
 
-# desk-scale variant of the stadium scenario: 30 nodes, 2 h
-DESK_TEXT = """
-sim_duration = 2h
-buffer_size = {buffer}
-router.protocol = {protocol}
-map.ring_radius = 600
-map.exit_count = 8
-map.road_length = 500
-group.audience.count = 16
-group.rescue.count = 4
-group.ambulance.count = 2
-group.media.count = 2
-group.sensors.count = 4
-group.exits.count = 2
-"""
+DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
 
 # isolated playground for scripted contacts: stationary nodes, an
 # effectively instant interface and near-infinite buffers
@@ -49,9 +36,21 @@ interface.instant.range = 1
 """
 
 
+def edited(text: str, *edits: tuple[str, str]) -> str:
+    """``text`` with each ``(line, replacement)`` edit made; every line
+    edited must be in ``text``."""
+    for line, replacement in edits:
+        assert line + "\n" in text, line
+        text = text.replace(line, replacement)
+    return text
+
+
 def desk_config(protocol: str = "epidemic", buffer: str = "5M",
                 sim_duration: float | None = None) -> scenario.ScenarioConfig:
-    cfg = scenario.parse_scenario(DESK_TEXT.format(protocol=protocol, buffer=buffer))
+    """The shipped desk scenario with the given protocol and buffer."""
+    cfg = scenario.parse_scenario(DESK_CFG.read_text(encoding="utf-8"))
+    cfg = scenario.expand_sweep(cfg, "router.protocol", [protocol])[0]
+    cfg = scenario.expand_sweep(cfg, "buffer_bytes", [scenario.parse_size(buffer)])[0]
     if sim_duration is not None:
         cfg = dataclasses.replace(cfg, sim_duration=float(sim_duration))
     return cfg
@@ -152,12 +151,11 @@ class ScriptedSimulation(Simulation):
 
     def _create_due(self, now):
         creations = self.creations
-        state = self.traffic_state
         while creations and creations[0][0] <= now:
             _, src, dst, size = creations.popleft()
-            state.counter += 1
-            self._admit_created(Message(f"M{state.counter}", state.counter, src,
-                                        dst, size, now, self.cfg.traffic.ttl), now)
+            seq = len(self.ledger) + 1
+            self._admit_created(Message(f"M{seq}", seq, src, dst, size, now,
+                                        self.cfg.traffic.ttl), now)
 
 
 def run_script(cfg, contacts=(), creations=(), seed=1):

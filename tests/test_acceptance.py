@@ -18,7 +18,8 @@ from dtnsim.engine import Simulation
 from dtnsim.routing import epidemic_oracle
 from dtnsim.worldmap import shortest_path
 
-from conftest import DESK_TEXT, check_state, run_script, script_config
+from conftest import (DESK_CFG, check_state, desk_config, edited, run_script,
+                      script_config)
 from test_worldmap import brute_force_min_path, path_length, random_connected_graph
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -158,8 +159,7 @@ def desk_results():
         for buffer in BUFFERS:
             per_seed = []
             for seed in SEEDS:
-                cfg = scenario.parse_scenario(
-                    DESK_TEXT.format(protocol=protocol, buffer=buffer))
+                cfg = desk_config(protocol, buffer)
                 sim = Simulation(cfg, seed)
                 for _ in range(scenario.tick_count(cfg)):
                     sim.tick()
@@ -264,9 +264,8 @@ def test_criterion_5_conservation_audit(desk_results):
 
 def test_criterion_4_byte_identical_outputs(tmp_path):
     cfg_path = tmp_path / "desk.cfg"
-    cfg_path.write_text(
-        DESK_TEXT.format(protocol="epidemic", buffer="5M").replace(
-            "sim_duration = 2h", "sim_duration = 600"))
+    cfg_path.write_text(edited(DESK_CFG.read_text(),
+                               ("sim_duration = 2h", "sim_duration = 600")))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -329,15 +328,12 @@ def test_criterion_7_traffic_statistics():
 
     # replay the identical traffic stream to observe the drawn sizes
     rng = engine.rng_stream(2026, "traffic")
-    state = traffic.TrafficState(
-        traffic.schedule_next(0.0, cfg.traffic.interval_range, rng))
+    at = traffic.schedule_next(0.0, cfg.traffic.interval_range, rng)
     sizes = []
     last_tick = (scenario.tick_count(cfg) - 1) * cfg.tick
-    while state.next_creation_at <= last_tick:
-        msg = traffic.create_message(state, rng, [0], [1], cfg.traffic,
-                                     state.next_creation_at)
-        state.next_creation_at = traffic.schedule_next(
-            state.next_creation_at, cfg.traffic.interval_range, rng)
+    while at <= last_tick:
+        msg = traffic.create_message(len(sizes) + 1, rng, [0], [1], cfg.traffic, at)
+        at = traffic.schedule_next(at, cfg.traffic.interval_range, rng)
         sizes.append(msg.size)
     assert len(sizes) == summary.created     # replay matches the run
     sizes_ok = all(100_000 <= s <= 300_000 for s in sizes)

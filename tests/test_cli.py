@@ -1,11 +1,10 @@
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from dtnsim import cli, engine, reports, scenario
 
-DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
+from conftest import DESK_CFG, edited
 
 TINY = """
 sim_duration = 300
@@ -64,6 +63,20 @@ def test_bad_map_file_exits_1_everywhere(tmp_path, capsys, monkeypatch,
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and reason in err[0], (argv, err)
+
+
+def test_sweep_runs_refuses_a_bad_map_before_recording(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("recorded contacts on a map that does not build")
+
+    monkeypatch.setattr(engine, "record_contacts", never)
+    map_path = tmp_path / "roads.wkt"
+    map_path.write_text("LINESTRING (0 0, 100 0)\nLINESTRING (500 500, 600 500)\n")
+    with pytest.raises(cli.Findings) as refused:
+        cli.sweep_runs(TINY + f"map = {map_path}\n", ["epidemic"], [5_000_000], [1],
+                       workers=1)
+    (finding,) = refused.value.args
+    assert finding.startswith("map: ") and "not connected" in finding, finding
 
 
 def test_scenario_file_not_utf8_is_usage_error_everywhere(tmp_path, capsys):
@@ -235,6 +248,16 @@ def test_sweep_writes_rows_charts_and_manifest(tiny_file, tmp_path, monkeypatch)
                    "hopcount_avg", "dropped"):
         assert (out / f"{metric}.svg").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_sweep_defaults_to_the_files_seed(tiny_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("DTNSIM_THREADS", "1")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", tiny_file, "--buffers", "5M",
+                     "--protocols", "spray-and-wait", "--out", str(out)]) == 0
+    header, row = (out / "metrics.csv").read_text().splitlines()
+    assert header.split(",")[2] == "seed"
+    assert row.split(",")[2] == "4"       # TINY's seed
 
 
 def test_sweep_then_plot_reproduces_identical_svgs(tiny_file, tmp_path,
@@ -529,12 +552,8 @@ PINNED_RUNS = {
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
 def test_outputs_match_pinned_digests(tmp_path, run):
     base, edits, *pinned = PINNED_RUNS[run]
-    text = base.read_text()
-    for line, replacement in edits:
-        assert line + "\n" in text
-        text = text.replace(line, replacement)
     cfg = tmp_path / base.name
-    cfg.write_text(text)
+    cfg.write_text(edited(base.read_text(), *edits))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--seed", "1", "--out", str(out),
                      "--events"]) == 0
@@ -576,9 +595,9 @@ def test_runs_that_can_create_no_message_exit_1(tmp_path, capsys, edit):
     # at 30 s can create one, a run whose last tick starts earlier cannot
     text = DESK_CFG.read_text()
     path = tmp_path / "desk.cfg"
-    path.write_text(text.replace("sim_duration = 2h", "sim_duration = 31"))
+    path.write_text(edited(text, ("sim_duration = 2h", "sim_duration = 31")))
     assert cli.main(["validate", str(path)]) == 0
-    path.write_text(text.replace("sim_duration = 2h", edit))
+    path.write_text(edited(text, ("sim_duration = 2h", edit)))
     out = str(tmp_path / "out")
     for argv in (["validate", str(path)],
                  ["run", str(path), "--out", out],

@@ -129,7 +129,9 @@ def test_fuzzed_scenarios_are_rejected_or_build():
         except ScenarioError:
             outcomes["rejected"] += 1
             continue
-        if cli._findings(cfg):
+        try:
+            cli._check_runs([cfg])
+        except cli.Findings:
             outcomes["findings"] += 1
             continue
         engine.Simulation(cfg, cfg.seed)

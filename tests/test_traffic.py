@@ -29,29 +29,23 @@ def test_schedule_mean_close_to_midpoint():
 
 
 def test_create_message_fields():
-    state = traffic.TrafficState(0.0)
     rng = random.Random(3)
     sources = [0, 1, 2]
     destinations = [7, 8]
-    seen = set()
-    for _ in range(300):
-        m = traffic.create_message(state, rng, sources, destinations, CFG, 50.0)
+    for seq in range(1, 301):
+        m = traffic.create_message(seq, rng, sources, destinations, CFG, 50.0)
         assert m.src in sources
         assert m.dst in destinations
         assert 100_000 <= m.size <= 300_000
         assert m.ttl == 10_800.0
         assert m.created_at == 50.0
-        assert m.id not in seen
-        seen.add(m.id)
-    assert state.counter == 300
-    assert m.id == "M300"
+        assert (m.id, m.seq) == (f"M{seq}", seq)
 
 
 def test_size_mean_near_center():
-    state = traffic.TrafficState(0.0)
     rng = rng_stream(11, "traffic")
-    sizes = [traffic.create_message(state, rng, [0], [1], CFG, 0.0).size
-             for _ in range(2_000)]
+    sizes = [traffic.create_message(seq, rng, [0], [1], CFG, 0.0).size
+             for seq in range(1, 2_001)]
     mean = sum(sizes) / len(sizes)
     assert abs(mean - 200_000) <= 0.05 * 200_000
 
