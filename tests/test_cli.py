@@ -519,6 +519,9 @@ STADIUM_CFG = DESK_CFG.parent / "stadium.cfg"
 # heads wait on copies pinned by another transfer, which desk does not
 # exercise.  The slow-desk runs abort in-flight transfers for both reasons:
 # epidemic 17 contact-down and 10 ttl-expiry aborts, spray-and-wait 10 and 2.
+# The 1,500 s stadium spray-and-wait run with a 4 min ttl is the one pinned
+# stadium run that expires messages: 185 ttl-expiry drops, beside 6
+# contact-down aborts, on nodes of up to three interfaces.
 EPIDEMIC = (("router.protocol = epidemic", "router.protocol = epidemic"),)
 SPRAY = (("router.protocol = epidemic", "router.protocol = spray-and-wait"),)
 SLOW_DESK = (("sim_duration = 2h", "sim_duration = 1200\nttl = 2m\n"
@@ -546,6 +549,11 @@ PINNED_RUNS = {
         STADIUM_CFG, (("sim_duration = 12h", "sim_duration = 1500"),),
         "fad39aff8ca6c298382ababa1470d4b293503eccc033cf318d29cd613ade4405",
         "b7dbebc6a96a58b04400bee05ad9e2bdcffe37139914eb85dd05ce4b45bf7f70"),
+    "stadium-spray-ttl-1500s": (
+        STADIUM_CFG, SPRAY + (("sim_duration = 12h", "sim_duration = 1500"),
+                              ("ttl = 3h", "ttl = 4m")),
+        "979d528b0adad5051f0d105cf2da0ccc0452ebbbf1356ccfc3f680960a486941",
+        "6a3e5821d17181e1af9d7dbbbe7ab8e78d1e70f316a27e00800d597c9370c6d9"),
 }
 
 
