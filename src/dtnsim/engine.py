@@ -29,17 +29,24 @@ ledger and queues the copy's offers; the buffers alone record who holds it.
 ``routing.on_transfer_complete`` only decides: its outcome names the event
 to log and the copy, if any, for the receiver to store.
 
-Offers come from ``routing.offer_for_message`` at contact-up and whenever a
-copy arrives at a node (created or relayed), and wait in one queue per
-(sender, interface) as groups: the offers of one routing call for one
-copy and one rank, receivers in offer order.  The queue's order is that
-of the offers one by one: destination matches first, then the oldest
-message, then the order the offers were made.  At the head group, dead
-receivers are dropped before the slot waits on a copy busy elsewhere, and
-``routing.allowed_offers`` picks the first receiver the rule still
-allows.  Phase 1 leaves no expired copy behind, so offers need no expiry
-test.  All randomness comes from named streams derived from (seed,
-label), so mobility traces are identical across routing protocols.
+At contact-up each side stores one receiver record of the other, ``(key,
+peer, peer's buffered copies, peer's delivered set)``, under its node and
+interface in ``receivers_of``; offers are these records, so making one
+allocates nothing.  Offers come from ``routing.offer_for_message``: at
+contact-up, of the node's buffered copies to the new record
+(``routing.on_contact_up``), and whenever a copy arrives at a node
+(created or relayed), of that copy to each interface's records.  They
+wait in one queue per (sender, interface) as groups: the records of one
+routing call for one copy and one rank, in contact-up order.  The
+queue's order is that of the offers one by one: destination matches
+first, then the oldest message, then the order the offers were made.  At
+the head group, dead receivers are dropped before the slot waits on a
+copy busy elsewhere, and ``routing.allowed_offers`` gives the position
+of the first record the rule still allows.  A transfer is a plain list
+(see ``TransferPool``).  Phase 1 leaves no expired copy behind, so offers
+need no expiry test.  All randomness comes from named streams derived
+from (seed, label), so mobility traces are identical across routing
+protocols.
 
 Phases 3-4 are one call, ``contacts.at(tick_index) -> (ups, downs)``, to
 ``LiveContacts``, which moves the nodes and detects, or to a
@@ -191,9 +198,11 @@ class Simulation:
         self.pool = TransferPool({name: ic.bandwidth * cfg.tick
                                   for name, ic in cfg.interfaces.items()})
         self.active: dict[tuple[int, int, str], float] = {}
-        # per node: its live contacts, contact key -> peer, in order of coming up
-        self.contacts_of: list[dict[tuple[int, int, str], NodeState]] = [
-            {} for _ in self.nodes]
+        # per node and interface: the receiver record of each live contact,
+        # contact key -> (key, peer, peer's copies, peer's delivered set),
+        # in order of coming up
+        self.receivers_of: list[dict[str, dict[tuple[int, int, str], tuple]]] = [
+            {name: {} for name in node.interfaces} for node in self.nodes]
         # per (sender, interface): heap of offer groups (see _queue)
         self.queues: defaultdict[tuple[int, str], list] = defaultdict(list)
         self._queue_counter = 0
@@ -293,97 +302,91 @@ class Simulation:
         return whether it was stored.  Each copy evicted to make room, or
         ``copy`` itself when it cannot fit, is dropped for buffer overflow."""
         accepted, evicted = node.buffer.insert(copy)
+        node_id = node.id
         for lost in (evicted if accepted else (copy,)):
             msg_id = lost.msg.id
             self.ledger[msg_id][1] += 1
-            self.log(now, DROPPED, msg_id, node.id, NO_NODE, lost.hops,
-                     REASON_OVERFLOW)
+            self.events.append((now, DROPPED, msg_id, node_id, NO_NODE, lost.hops,
+                                REASON_OVERFLOW))
         if accepted:
-            contacts = self.contacts_of[node.id]
-            if contacts:
-                self._queue(node.id, routing.offer_for_message(
-                    self.cfg.router, (copy,), contacts.items()))
+            router = self.cfg.router
+            copies = (copy,)
+            for iface, records in self.receivers_of[node_id].items():
+                if records:
+                    groups = routing.offer_for_message(router, copies,
+                                                       records.values())
+                    if groups:
+                        self._queue(node_id, iface, groups)
         return accepted
 
     # --- phases 3+4: contacts ----------------------------------------------------
 
     def _apply_contacts(self, now: float, ups, downs) -> None:
-        """Contact bookkeeping: the contact sets and the contact events."""
+        """Contact bookkeeping: the contact set, each side's receiver
+        record of the other and the contact events."""
+        active, receivers_of, nodes = self.active, self.receivers_of, self.nodes
+        append = self.events.append
         for key in downs:
-            del self.active[key]
+            del active[key]
             a, b, iface = key
-            del self.contacts_of[a][key]
-            del self.contacts_of[b][key]
-            self.log(now, CONTACT_DOWN, NO_MSG, a, b, 0, iface)
+            del receivers_of[a][iface][key]
+            del receivers_of[b][iface][key]
+            append((now, CONTACT_DOWN, NO_MSG, a, b, 0, iface))
         for key in ups:
-            self.active[key] = now
+            active[key] = now
             a, b, iface = key
-            self.contacts_of[a][key] = self.nodes[b]
-            self.contacts_of[b][key] = self.nodes[a]
-            self.log(now, CONTACT_UP, NO_MSG, a, b, 0, iface)
+            node_a, node_b = nodes[a], nodes[b]
+            receivers_of[a][iface][key] = (key, node_b, node_b.buffer.copies,
+                                           node_b.delivered)
+            receivers_of[b][iface][key] = (key, node_a, node_a.buffer.copies,
+                                           node_a.delivered)
+            append((now, CONTACT_UP, NO_MSG, a, b, 0, iface))
 
     # --- phase 5: offers ---------------------------------------------------------
 
-    def _queue(self, sender: int, offers) -> None:
-        """Queue the ``(dst_match, copy, key, peer)`` offers of one routing
-        call from ``sender``, one group per (interface, rank, copy).
+    def _queue(self, sender: int, iface: str, groups) -> None:
+        """Queue the ``(rank, copy, records)`` offer groups of one routing
+        call at the (``sender``, ``iface``) slot.
 
-        A group is ``[rank, seq, counter, msg_id, receivers]``, with the
-        ``(key, peer)`` receivers in offer order.  Groups order by (rank,
-        seq, counter): destination matches first, then creation order,
-        then call order.  ``counter`` is unique and taken per group, and a
-        group never takes offers of another call, so this is the order of
-        the offers one by one.
+        A queued group is ``(rank, seq, counter, msg_id, records)``, with
+        the receiver records in offer order.  Groups order by (rank, seq,
+        counter): destination matches first, then creation order, then
+        call order.  ``counter`` is unique and taken per group, and a call
+        puts at most one group of each rank of a copy at one slot, so this
+        is the order of the offers one by one.
         """
-        queues, ready, outgoing = self.queues, self.ready, self.pool.outgoing
+        slot = (sender, iface)
+        q = self.queues[slot]
         counter = self._queue_counter
-        # the copy whose offers are being grouped, and its rank-1 groups
-        # by interface; a copy's offers are consecutive, and its
-        # destination has one contact per interface, so a destination
-        # match always makes a group of its own
-        current = None
-        groups: dict[str, list] = {}
-        for dst_match, copy, key, peer in offers:
-            iface = key[2]
-            if copy is not current:
-                current = copy
-                groups = {}
-            receivers = None if dst_match else groups.get(iface)
-            if receivers is None:
-                counter += 1
-                msg = copy.msg
-                receivers = []
-                if not dst_match:
-                    groups[iface] = receivers
-                slot = (sender, iface)
-                heappush(queues[slot], [0 if dst_match else 1, msg.seq, counter,
-                                        msg.id, receivers])
-                if slot not in outgoing:
-                    ready.add(slot)
-            receivers.append((key, peer))
+        for rank, copy, records in groups:
+            counter += 1
+            msg = copy.msg
+            heappush(q, (rank, msg.seq, counter, msg.id, records))
         self._queue_counter = counter
+        if slot not in self.pool.outgoing:
+            self.ready.add(slot)
 
     def _contact_offers(self, key: tuple[int, int, str]) -> None:
-        a, b, _ = key
+        a, b, iface = key
         router = self.cfg.router
         for me, peer in ((a, b), (b, a)):
-            self._queue(me, routing.on_contact_up(router, self.nodes[me], key,
-                                                  self.nodes[peer]))
+            groups = routing.on_contact_up(router, self.nodes[me],
+                                           self.receivers_of[me][iface][key])
+            if groups:
+                self._queue(me, iface, groups)
 
     # --- phases 6-8: transfers ------------------------------------------------------
 
     def _run_transfers(self, now: float) -> None:
         budgets: dict[tuple[int, str], float] = {}
-        pool, queues, ready = self.pool, self.queues, self.ready
+        pool = self.pool
         self._start_transfers()
         self._abort_lost(now)
         moving = None   # the first step moves every outgoing transfer
         while True:
             completed = pool.advance(budgets, moving)
-            for tr in completed:
-                if queues.get(tr.slot):
-                    ready.add(tr.slot)
-                self._complete(tr, now)
+            if completed:
+                self._complete(completed, now)
             # every other transfer spent its slot's budget for this tick
             moving = self._start_transfers()
             if not completed and not moving:
@@ -397,18 +400,19 @@ class Simulation:
         nodes, active = self.nodes, self.active
         outgoing = self.pool.outgoing
         for skey in sorted(outgoing):
-            tr = outgoing[skey]
-            if tr.contact_key not in active:
+            _, _, msg, receiver, contact_key, _ = outgoing[skey]
+            sender = skey[0]
+            if contact_key not in active:
                 reason = REASON_CONTACT_DOWN
-            elif tr.msg.id not in nodes[tr.sender].buffer.copies:
+            elif msg.id not in nodes[sender].buffer.copies:
                 reason = REASON_TTL
             else:
                 continue
             del outgoing[skey]
-            nodes[tr.sender].buffer.pinned.discard(tr.msg.id)
+            nodes[sender].buffer.pinned.discard(msg.id)
             if self.queues.get(skey):
                 self.ready.add(skey)
-            self.log(now, ABORTED, tr.msg.id, tr.sender, tr.receiver, 0, reason)
+            self.log(now, ABORTED, msg.id, sender, receiver, 0, reason)
 
     def _start_transfers(self) -> list:
         """One pass over the ready slots in (sender, interface) order; each
@@ -422,63 +426,77 @@ class Simulation:
         """
         started = []
         pool = self.pool
+        begin = pool.begin
         nodes = self.nodes
         active = self.active
         router = self.cfg.router
+        allowed = routing.allowed_offers
         queues, ready = self.queues, self.ready
-        for skey in sorted(ready):
+        refused = self.refused
+        pop = heappop
+        visiting = sorted(ready)
+        # nothing joins ready during a pass; a slot stays only if it waits
+        ready.clear()
+        for skey in visiting:
             sender_id, iface = skey
             q = queues[skey]
             buffer = nodes[sender_id].buffer
-            copies = buffer.copies
+            copies, pinned = buffer.copies, buffer.pinned
             while q:
-                group = q[0]
-                receivers = group[4]
+                _, _, _, msg_id, receivers = q[0]
                 while receivers and receivers[0][0] not in active:
                     del receivers[0]
                 if not receivers:
-                    heappop(q)
+                    pop(q)
                     continue
-                msg_id = group[3]
                 copy = copies.get(msg_id)
                 if copy is None:
-                    heappop(q)
+                    pop(q)
                     continue
-                if msg_id in buffer.pinned:
+                if msg_id in pinned:
+                    ready.add(skey)
                     break   # busy elsewhere; retry once that transfer settles
-                offers, passed = routing.allowed_offers(
-                    router, (copy,), receivers, active, True)
-                if not offers:
-                    self.refused += len(receivers) - passed
-                    heappop(q)
+                at, passed = allowed(router, (copy,), receivers, active)
+                refused += at - passed
+                if at == len(receivers):
+                    pop(q)
                     continue
-                _, _, ckey, receiver = offers[0]
-                at = receivers.index((ckey, receiver))
-                self.refused += at - passed
+                ckey, receiver, _, _ = receivers[at]
                 del receivers[:at + 1]
                 if not receivers:
-                    heappop(q)
-                started.append(pool.begin(sender_id, receiver.id, iface, copy.msg,
-                                          ckey, copy.hops))
-                buffer.pinned.add(msg_id)
+                    pop(q)
+                started.append(begin(sender_id, receiver.id, iface, copy.msg,
+                                     ckey, copy.hops))
+                pinned.add(msg_id)
                 break
-            if not q or skey in pool.outgoing:
-                ready.discard(skey)
+        self.refused = refused
         return started
 
-    def _complete(self, tr, now: float) -> None:
-        msg_id = tr.msg.id
-        sender = self.nodes[tr.sender]
-        sender.buffer.pinned.discard(msg_id)
-        kind, hops, copy, sender_deleted = routing.on_transfer_complete(
-            self.cfg.router, sender, self.nodes[tr.receiver], tr.msg)
-        self.log(now, kind, msg_id, tr.sender, tr.receiver, hops, NO_REASON)
-        counters = self.ledger[msg_id]
-        if sender_deleted:
-            counters[2] += 1
-        if copy is not None:
-            counters[0] += 1
-            self._admit(self.nodes[tr.receiver], copy, now)
+    def _complete(self, completed: list, now: float) -> None:
+        """Settle the transfers of one ``advance`` in its order: free the
+        sender's copy, log the outcome ``routing.on_transfer_complete``
+        names, and admit the copy it gives the receiver, if any."""
+        nodes, ledger, queues, ready = self.nodes, self.ledger, self.queues, self.ready
+        append = self.events.append
+        router = self.cfg.router
+        on_complete = routing.on_transfer_complete
+        for _, slot, msg, receiver_id, _, _ in completed:
+            if queues.get(slot):
+                ready.add(slot)
+            msg_id = msg.id
+            sender_id = slot[0]
+            sender = nodes[sender_id]
+            receiver = nodes[receiver_id]
+            sender.buffer.pinned.discard(msg_id)
+            kind, hops, copy, sender_deleted = on_complete(router, sender,
+                                                           receiver, msg)
+            append((now, kind, msg_id, sender_id, receiver_id, hops, NO_REASON))
+            counters = ledger[msg_id]
+            if sender_deleted:
+                counters[2] += 1
+            if copy is not None:
+                counters[0] += 1
+                self._admit(receiver, copy, now)
 
     # --- audits -----------------------------------------------------------------
 

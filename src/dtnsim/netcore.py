@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import ceil, inf, sqrt
-from operator import attrgetter
 
 
 class Message:
@@ -192,35 +191,19 @@ class ContactDetector:
 
 # --- transfers ---------------------------------------------------------------
 
-class Transfer:
-    """One transfer of ``msg`` from ``sender`` to ``receiver``.
-
-    ``order`` places it among the completions of one ``advance``: by
-    message creation, then receiver, then the hop count of the sender's
-    copy, then sender, then interface.  The sender's copy stays pinned
-    while the transfer runs, so its hop count is fixed at ``begin``.
-    """
-
-    __slots__ = ("sender", "receiver", "iface", "msg", "bytes_sent",
-                 "contact_key", "slot", "order")
-
-    def __init__(self, sender: int, receiver: int, iface: str, msg: Message,
-                 contact_key: tuple[int, int, str], hops: int):
-        self.sender = sender
-        self.receiver = receiver
-        self.iface = iface
-        self.msg = msg
-        self.bytes_sent = 0.0
-        self.contact_key = contact_key
-        self.slot = (sender, iface)
-        self.order = (msg.seq, receiver, hops, sender, iface)
-
-
-_ORDER = attrgetter("order")
-
-
 class TransferPool:
     """Active transfers with one outgoing slot per (node, interface).
+
+    A transfer is a plain list, ``[order, slot, msg, receiver, contact_key,
+    bytes_sent]``: ``msg`` goes from the sender of ``slot``, a ``(sender,
+    interface)`` pair, to node ``receiver`` over the contact
+    ``contact_key``, and ``bytes_sent``, its one changing field, counts
+    what has arrived.  ``order`` places it among the completions of one
+    ``advance``: by message creation, then receiver, then the hop count of
+    the sender's copy, then sender, then interface.  The sender's copy
+    stays pinned while the transfer runs, so its hop count is fixed at
+    ``begin``; a slot runs one transfer at a time, so no two transfers of
+    one ``advance`` share an ``order``.
 
     ``tick_bytes`` maps each interface name to the bytes one slot may send
     per tick.
@@ -228,21 +211,22 @@ class TransferPool:
 
     def __init__(self, tick_bytes: dict[str, float]):
         self.tick_bytes = tick_bytes
-        self.outgoing: dict[tuple[int, str], Transfer] = {}
+        self.outgoing: dict[tuple[int, str], list] = {}
         self.completed_bytes: dict[tuple[int, str], float] = {}
 
     def begin(self, sender: int, receiver: int, iface: str, msg: Message,
-              contact_key: tuple[int, int, str], hops: int) -> Transfer:
+              contact_key: tuple[int, int, str], hops: int) -> list:
         """Caller must have verified the slot is idle and the receiver lacks
         the message; one in-flight transfer per (sender, message) at a time.
         ``hops`` is the hop count of the sender's copy."""
-        tr = Transfer(sender, receiver, iface, msg, contact_key, hops)
-        assert tr.slot not in self.outgoing, "busy interface"
-        self.outgoing[tr.slot] = tr
+        slot = (sender, iface)
+        assert slot not in self.outgoing, "busy interface"
+        tr = self.outgoing[slot] = [(msg.seq, receiver, hops, sender, iface),
+                                    slot, msg, receiver, contact_key, 0.0]
         return tr
 
     def advance(self, budgets: dict[tuple[int, str], float],
-                transfers=None) -> list[Transfer]:
+                transfers=None) -> list[list]:
         """Move bytes of ``transfers``, every outgoing transfer if None,
         against per-(node, interface) byte budgets.
 
@@ -253,22 +237,25 @@ class TransferPool:
         ``order``, and frees their slots so follow-up transfers can reuse
         them and whatever budget remains this tick.
         """
-        completed: list[Transfer] = []
-        tick_bytes = self.tick_bytes
-        for tr in self.outgoing.values() if transfers is None else transfers:
-            key = tr.slot
-            budget = budgets.get(key, tick_bytes[tr.iface])
+        completed: list[list] = []
+        tick_bytes, outgoing, done = self.tick_bytes, self.outgoing, self.completed_bytes
+        for tr in outgoing.values() if transfers is None else transfers:
+            _, key, msg, _, _, bytes_sent = tr
+            budget = budgets.get(key)
+            if budget is None:
+                budget = tick_bytes[key[1]]
             if budget <= 0.0:
                 continue
-            need = tr.msg.size - tr.bytes_sent
+            size = msg.size
+            need = size - bytes_sent
             sent = need if need <= budget else budget
-            tr.bytes_sent += sent
+            tr[5] = bytes_sent = bytes_sent + sent
             budgets[key] = budget - sent
-            if tr.bytes_sent >= tr.msg.size:
+            if bytes_sent >= size:
                 completed.append(tr)
+                done[key] = done.get(key, 0.0) + size
         for tr in completed:
-            key = tr.slot
-            del self.outgoing[key]
-            self.completed_bytes[key] = self.completed_bytes.get(key, 0.0) + tr.msg.size
-        completed.sort(key=_ORDER)
+            del outgoing[tr[1]]
+        if len(completed) > 1:
+            completed.sort()    # by order, which no two of them share
         return completed

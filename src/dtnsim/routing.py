@@ -3,17 +3,20 @@
 Epidemic offers every buffered message the peer lacks (neither buffered
 nor already delivered there).  Spray-and-wait offers direct deliveries
 unconditionally and relays only while the copy budget allows (copies >= 2),
-splitting the budget at transfer completion.  That rule is written once,
-in ``allowed_offers``, and the engine asks it three things: which
-buffered copies may go to a contact that just came up (``on_contact_up``),
-which contacts an arriving copy may go to (``offer_for_message``), and,
-when a queued offer group reaches the head of its queue, which of its
-receivers is the first the rule still allows.  Offers come out in buffer
-and contact order; the engine's queues send destination matches first,
-then the oldest message.  Expired copies never reach the rule: the engine
-purges them at the start of every tick.  ``on_transfer_complete`` names
-the event a finished transfer makes and the copy its receiver should store;
-the engine stores it as it stores a newly created copy.
+splitting the budget at transfer completion.  That rule lives in one
+function, ``allowed_offers``, over receiver records ``(key, peer, held,
+delivered)`` that the engine makes once per contact, and the engine asks
+it three things: which buffered copies may go to a contact that just came
+up (``on_contact_up``), which records of one interface an arriving copy
+may go to (``offer_for_message``), both as offer groups of one copy and
+one rank, and, when a queued group reaches the head of its queue, the
+position of the first record the rule still allows.  Offers come out in
+buffer and contact-up order; the engine's queues send destination
+matches first, then the oldest message.  Expired copies never reach the
+rule: the engine purges them at the start of every tick.
+``on_transfer_complete`` names the event a finished transfer makes and
+the copy its receiver should store; the engine stores it as it stores a
+newly created copy.
 
 Summary-vector exchange is modeled as free and instantaneous; only message
 transfers consume bandwidth and count toward overhead.
@@ -34,53 +37,72 @@ def source_copy(router: RouterConfig, msg: Message) -> BufferedCopy:
     return BufferedCopy(msg, 0, copies)
 
 
-def allowed_offers(router: RouterConfig, copies, contacts, live=None,
-                   first: bool = False) -> tuple[list, int]:
-    """The forwarding rule, for each copy and each ``(key, peer)`` pair of
-    ``contacts``.
+def allowed_offers(router: RouterConfig, copies, records, live=None):
+    """The forwarding rule, for each copy and each receiver record
+    ``(key, peer, held, delivered)`` of ``records``: a contact key, the
+    node at its other end, and that node's buffered copies and delivered
+    set.
 
     A copy may go to a peer that neither buffers the message nor has had it
     delivered; a spray-and-wait copy in its wait phase (fewer than 2 copies
-    left) goes only to its destination.  A pair whose key is not in
-    ``live``, when given, is passed over unjudged.
+    left) goes only to its destination.
 
-    Returns ``(offers, passed)``: ``(dst_match, copy, key, peer)`` for each
-    allowed pair, by copy and then by contact, and the count of pairs
-    passed over.  With ``first`` the scan ends at the first allowed pair,
-    so every pair before it was passed over or refused.
+    Without ``live``, returns the offer groups ``(rank, copy, records)`` of
+    each copy in turn: its destination's record alone at rank 0, and the
+    other records it may go to, in the order given, at rank 1.  With
+    ``live``, ``copies`` holds one copy and the scan ends at the first
+    record the rule allows; a record whose key is not in ``live`` is passed
+    over unjudged.  Returns ``(index, passed)``: the index of that record,
+    ``len(records)`` if there is none, and the count of records before it
+    that were passed over.
     """
     spray = router.protocol == SPRAY_AND_WAIT
-    offers = []
-    passed = 0
+    if live is not None:
+        (copy,) = copies
+        msg = copy.msg
+        msg_id, dst = msg.id, msg.dst
+        wait = spray and copy.copies < 2
+        passed = 0
+        # the refusal test is the one the offer loop below states; a loop
+        # per mode keeps the per-record work to that test
+        for index, (key, peer, held, delivered) in enumerate(records):
+            if key not in live:
+                passed += 1
+            elif not (msg_id in held or msg_id in delivered
+                      or (wait and peer.id != dst)):
+                return index, passed
+        return len(records), passed
+    groups = []
     for copy in copies:
         msg = copy.msg
-        msg_id = msg.id
-        dst = msg.dst
+        msg_id, dst = msg.id, msg.dst
         wait = spray and copy.copies < 2
-        for key, peer in contacts:
-            if live is not None and key not in live:
-                passed += 1
-                continue
-            peer_id = peer.id
-            if ((wait and peer_id != dst) or msg_id in peer.buffer.copies
-                    or msg_id in peer.delivered):
-                continue
-            offers.append((peer_id == dst, copy, key, peer))
-            if first:
-                return offers, passed
-    return offers, passed
+        others = None   # made on the first rank-1 record: most copies have none
+        for record in records:
+            _, peer, held, delivered = record
+            if not (msg_id in held or msg_id in delivered
+                    or (wait and peer.id != dst)):
+                if peer.id == dst:
+                    groups.append((0, copy, [record]))
+                elif others is None:
+                    others = [record]
+                else:
+                    others.append(record)
+        if others is not None:
+            groups.append((1, copy, others))
+    return groups
 
 
-def offer_for_message(router: RouterConfig, copies, contacts) -> list:
-    """The offers ``allowed_offers`` makes of ``copies`` to ``contacts``, a
-    re-iterable of ``(key, peer)`` pairs, in the order given."""
-    return allowed_offers(router, copies, contacts)[0]
+def offer_for_message(router: RouterConfig, copies, records) -> list:
+    """The offer groups ``allowed_offers`` makes of ``copies`` to
+    ``records``, a re-iterable of receiver records of one interface."""
+    return allowed_offers(router, copies, records)
 
 
-def on_contact_up(router: RouterConfig, me, key, peer) -> list:
-    """Offers of ``me``'s buffered copies to ``peer`` over the new contact
-    ``key``, in buffer order."""
-    return offer_for_message(router, me.buffer.copies.values(), ((key, peer),))
+def on_contact_up(router: RouterConfig, me, record) -> list:
+    """The offer groups of ``me``'s buffered copies, in buffer order, to
+    the receiver ``record`` of a contact that just came up."""
+    return offer_for_message(router, me.buffer.copies.values(), (record,))
 
 
 def split_copies(copies: int, binary: bool) -> tuple[int, int]:

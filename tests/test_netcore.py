@@ -224,12 +224,23 @@ def test_stationary_pair_is_examined_once():
 
 # --- transfers ------------------------------------------------------------------
 
+def sent_ids(completed):
+    """Message ids of transfers, ``[order, slot, msg, receiver,
+    contact_key, bytes_sent]`` lists, in the order given."""
+    return [msg.id for _, _, msg, _, _, _ in completed]
+
+
+def bytes_sent(pool, slot):
+    *_, sent = pool.outgoing[slot]
+    return sent
+
+
 def test_transfer_completes_within_budget():
     pool = TransferPool(TICK_BYTES)
     key = (0, 1, "highspeed")
     pool.begin(0, 1, "highspeed", msg("M1", 300_000), key, 0)
     completed = pool.advance({(0, "highspeed"): 20_000_000.0})
-    assert [t.msg.id for t in completed] == ["M1"]
+    assert sent_ids(completed) == ["M1"]
     assert pool.outgoing == {}
 
 
@@ -239,9 +250,9 @@ def test_transfer_progresses_across_ticks():
     pool.begin(0, 1, "bluetooth", msg("M1", 300_000), key, 0)
     completed = pool.advance({(0, "bluetooth"): 250_000.0})
     assert completed == []
-    assert pool.outgoing[(0, "bluetooth")].bytes_sent == 250_000.0
+    assert bytes_sent(pool, (0, "bluetooth")) == 250_000.0
     completed = pool.advance({(0, "bluetooth"): 250_000.0})
-    assert [t.msg.id for t in completed] == ["M1"]
+    assert sent_ids(completed) == ["M1"]
 
 
 def test_exact_boundary_completes():
@@ -272,12 +283,12 @@ def test_slot_missing_from_budgets_gets_full_tick_budget():
     budgets = {}
     pool.begin(0, 1, "bluetooth", msg("M1", 100_000), key, 0)
     completed = pool.advance(budgets)
-    assert [t.msg.id for t in completed] == ["M1"]
+    assert sent_ids(completed) == ["M1"]
     assert budgets == {(0, "bluetooth"): 150_000.0}
     pool.begin(0, 1, "bluetooth", msg("M2", 200_000, seq=2), key, 0)
     completed = pool.advance(budgets)
     assert completed == []
-    assert pool.outgoing[(0, "bluetooth")].bytes_sent == 150_000.0
+    assert bytes_sent(pool, (0, "bluetooth")) == 150_000.0
     assert budgets == {(0, "bluetooth"): 0.0}
 
 

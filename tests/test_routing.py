@@ -4,8 +4,9 @@ import pytest
 
 from dtnsim.netcore import Buffer, BufferedCopy, Message
 from dtnsim.reports import DELIVERED, DUPLICATE, RELAYED
-from dtnsim.routing import (epidemic_oracle, offer_for_message, on_contact_up,
-                            on_transfer_complete, source_copy, split_copies)
+from dtnsim.routing import (allowed_offers, epidemic_oracle, offer_for_message,
+                            on_contact_up, on_transfer_complete, source_copy,
+                            split_copies)
 from dtnsim.scenario import RouterConfig
 
 EPIDEMIC = RouterConfig("epidemic")
@@ -28,15 +29,20 @@ def mk(seq, src=0, dst=9, size=100_000, created=0.0, ttl=10_800.0):
     return Message(f"M{seq}", seq, src, dst, size, created, ttl)
 
 
+def receiver(key, peer):
+    """The receiver record the engine keeps for ``peer`` over ``key``."""
+    return (key, peer, peer.buffer.copies, peer.delivered)
+
+
 def offered(me, peer, router=EPIDEMIC):
     """Message ids ``me`` offers ``peer`` over a fresh contact."""
-    offers = on_contact_up(router, me, (me.id, peer.id, "wifi"), peer)
-    return [copy.msg.id for _, copy, _, _ in offers]
+    groups = on_contact_up(router, me, receiver((me.id, peer.id, "wifi"), peer))
+    return [copy.msg.id for _, copy, _ in groups]
 
 
 def may_forward(router, copy, peer):
     """The forwarding rule for one copy and one peer."""
-    return bool(offer_for_message(router, (copy,), (("key", peer),)))
+    return bool(offer_for_message(router, (copy,), (receiver("key", peer),)))
 
 
 # --- offers ---------------------------------------------------------------
@@ -60,9 +66,8 @@ def test_spray_wait_phase_withholds_relays():
 def test_spray_direct_delivery_allowed_with_one_copy():
     a, dst = Node(1), Node(7)
     a.hold(mk(1, dst=7), copies=1)
-    key = (1, 7, "wifi")
-    assert on_contact_up(SPRAY, a, key, dst) == [
-        (True, a.buffer.copies["M1"], key, dst)]
+    record = receiver((1, 7, "wifi"), dst)
+    assert on_contact_up(SPRAY, a, record) == [(0, a.buffer.copies["M1"], [record])]
 
 
 def test_spray_relays_when_budget_allows():
@@ -100,43 +105,89 @@ def test_may_forward_epidemic_ignores_the_budget():
                            Node(2))
 
 
-@pytest.mark.parametrize("router, copies", [
+RULE_CASES = pytest.mark.parametrize("router, copies", [
     (EPIDEMIC, None), (SPRAY, 1), (SPRAY, 2),
 ], ids=["epidemic", "spray-wait-phase", "spray-two-copies"])
-def test_forward_targets_matches_per_peer_offers(router, copies):
-    # oracle: the rule written out for each (copy, contact) pair, in
-    # copy-then-contact order
-    rng = random.Random(f"forward-targets/{router.protocol}/{copies}")
+
+
+def random_receivers(rng, copies):
+    """Node 0's held copies and receiver records in a random state: peers
+    buffer or have had delivered some of six messages, and the records
+    come in random order over three interfaces."""
     ifaces = ("bluetooth", "wifi", "highspeed")
-    cases = {True: 0, False: 0}        # destination among the contacts or not
+    nodes = [Node(i) for i in range(10)]
+    msgs = [mk(seq, src=0, dst=rng.randrange(1, 12)) for seq in range(1, 7)]
+    for node in nodes[1:]:
+        for m in msgs:
+            r = rng.random()
+            if r < 0.3:
+                node.hold(m, copies=copies)
+            elif r < 0.4:
+                node.delivered.add(m.id)
+    held = [BufferedCopy(m, rng.randrange(3), copies)
+            for m in rng.sample(msgs, rng.randrange(1, 5))]
+    links = [(peer, iface) for peer in nodes[1:] for iface in ifaces
+             if rng.random() < 0.3]
+    rng.shuffle(links)
+    return held, [receiver((0, peer.id, iface), peer) for peer, iface in links]
+
+
+def rule_allows(router, copy, peer):
+    """The forwarding rule written out for one copy and one peer."""
+    msg = copy.msg
+    lacks = msg.id not in peer.buffer.copies and msg.id not in peer.delivered
+    return lacks and (peer.id == msg.dst or router is EPIDEMIC or copy.copies >= 2)
+
+
+@RULE_CASES
+def test_forward_targets_matches_per_peer_offers(router, copies):
+    # oracle: the rule written out for each (copy, record) pair, in
+    # copy-then-record order; a copy's destination goes alone at rank 0
+    rng = random.Random(f"forward-targets/{router.protocol}/{copies}")
+    cases = {True: 0, False: 0}        # destination among the records or not
     for _ in range(300):
-        nodes = [Node(i) for i in range(10)]
-        msgs = [mk(seq, src=0, dst=rng.randrange(1, 12)) for seq in range(1, 7)]
-        for node in nodes[1:]:
-            for m in msgs:
-                r = rng.random()
-                if r < 0.3:
-                    node.hold(m, copies=copies)
-                elif r < 0.4:
-                    node.delivered.add(m.id)
-        held = [BufferedCopy(m, rng.randrange(3), copies)
-                for m in rng.sample(msgs, rng.randrange(1, 5))]
-        links = [(peer, iface) for peer in nodes[1:] for iface in ifaces
-                 if rng.random() < 0.3]
-        rng.shuffle(links)
-        contacts = {(0, peer.id, iface): peer for peer, iface in links}
+        held, records = random_receivers(rng, copies)
         cases[any(peer.id == c.msg.dst for c in held
-                  for peer in contacts.values())] += 1
+                  for _, peer, _, _ in records)] += 1
         expected = []
         for copy in held:
-            msg = copy.msg
-            for key, peer in contacts.items():
-                lacks = msg.id not in peer.buffer.copies and msg.id not in peer.delivered
-                if lacks and (peer.id == msg.dst or router is EPIDEMIC
-                              or copies >= 2):
-                    expected.append((peer.id == msg.dst, copy, key, peer))
-        assert offer_for_message(router, held, contacts.items()) == expected
+            others = []
+            for record in records:
+                peer = record[1]
+                if not rule_allows(router, copy, peer):
+                    continue
+                if peer.id == copy.msg.dst:
+                    expected.append((0, copy, [record]))
+                else:
+                    others.append(record)
+            if others:
+                expected.append((1, copy, others))
+        assert offer_for_message(router, held, records) == expected
     assert min(cases.values()) >= 30, cases
+
+
+@RULE_CASES
+def test_head_check_finds_the_first_allowed_live_record(router, copies):
+    # oracle: the records one by one; a dead key is passed over unjudged,
+    # and the first live record the rule allows ends the scan
+    rng = random.Random(f"head-check/{router.protocol}/{copies}")
+    seen = {"found": 0, "none": 0, "passed": 0}
+    for _ in range(300):
+        held, records = random_receivers(rng, copies)
+        copy = held[0]
+        share = rng.random()
+        live = {record[0] for record in records if rng.random() < share}
+        index, passed = len(records), 0
+        for at, (key, peer, _, _) in enumerate(records):
+            if key not in live:
+                passed += 1
+            elif rule_allows(router, copy, peer):
+                index = at
+                break
+        seen["found" if index < len(records) else "none"] += 1
+        seen["passed"] += passed > 0
+        assert allowed_offers(router, (copy,), records, live) == (index, passed)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_source_copy_carries_the_protocol_budget():

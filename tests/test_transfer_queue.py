@@ -1,14 +1,18 @@
 """The engine's transfer fixed point against the design it replaced.
 
-``OneOfferPerEntry`` keeps that design as an oracle: one heap entry per
-(receiver, message) offer, a full scan of the queue keys on every pass,
-one one-pair ``routing.offer_for_message`` call per entry that reaches a
-queue head, every outgoing transfer advanced on every step, and
+``OneOfferPerEntry`` keeps that design as an oracle: its own list of
+each node's contacts in the order they came up, one heap entry per
+(contact, message) offer, ranked by whether the contact is the message's
+destination, a full scan of the queue keys on every pass, one one-record
+``routing.offer_for_message`` call per offer made and per entry that
+reaches a queue head, every outgoing transfer advanced on every step, and
 completions sorted by a key that reads the sender's copy again.  The
-engine groups the offers of one routing call, keeps the idle slots that
-have offers as a set, advances only the transfers that can still move
-and fixes each transfer's completion order when it begins.  Both must
-write the same event log on small random scripted cases: several
+engine keeps one receiver record per contact and interface, queues the
+records of one routing call as one group per rank, finds a head group's
+first allowed record by its position, keeps the idle slots that have
+offers as a set, advances only the transfers that can still move and
+fixes each transfer's completion order when it begins.  Both must write
+the same event log on small random scripted cases: several
 interfaces, so that queue heads wait on copies busy on another
 interface; contacts that go down and come back up; bandwidth below, at
 and above one message per tick; tight buffers and short TTLs; epidemic
@@ -21,6 +25,7 @@ from heapq import heappop, heappush
 import pytest
 
 from dtnsim import routing, scenario
+from dtnsim.engine import NO_NODE
 from dtnsim.reports import ABORTED, DROPPED, REASON_OVERFLOW, REASON_TTL
 
 from conftest import ScriptedSimulation
@@ -30,19 +35,55 @@ BATCHES = 6
 
 
 class OneOfferPerEntry(ScriptedSimulation):
-    """A ScriptedSimulation whose transfer queue is the one-entry-per-offer
-    design; it counts the pinned heads it waits on.  Its aborts are the
-    engine's own ``_abort_lost``."""
+    """A ScriptedSimulation whose offers and transfer queue are the
+    one-entry-per-offer design; it counts the pinned heads it waits on.
+    Its aborts and completions are the engine's own ``_abort_lost`` and
+    ``_complete``."""
 
     pinned_waits = 0
 
-    def _queue(self, sender, offers):
-        for dst_match, copy, key, peer in offers:
-            self._queue_counter += 1
+    def __init__(self, *args):
+        super().__init__(*args)
+        # per node: contact key -> peer, in the order the contacts came up
+        self.contacts_in_order = [{} for _ in self.nodes]
+
+    def _apply_contacts(self, now, ups, downs):
+        super()._apply_contacts(now, ups, downs)
+        for a, b, iface in downs:
+            del self.contacts_in_order[a][(a, b, iface)]
+            del self.contacts_in_order[b][(a, b, iface)]
+        for a, b, iface in ups:
+            self.contacts_in_order[a][(a, b, iface)] = self.nodes[b]
+            self.contacts_in_order[b][(a, b, iface)] = self.nodes[a]
+
+    def _offer(self, sender, copies, contacts):
+        """One entry per (copy, contact) pair the rule allows, by copy and
+        then by contact; the destination ranks first."""
+        for copy in copies:
             msg = copy.msg
-            heappush(self.queues[(sender, key[2])],
-                     (0 if dst_match else 1, msg.seq, self._queue_counter,
-                      peer.id, msg.id, key))
+            for key, peer in contacts:
+                record = (key, peer, peer.buffer.copies, peer.delivered)
+                if routing.offer_for_message(self.cfg.router, (copy,), (record,)):
+                    self._queue_counter += 1
+                    heappush(self.queues[(sender, key[2])],
+                             (0 if peer.id == msg.dst else 1, msg.seq,
+                              self._queue_counter, msg.id, record))
+
+    def _admit(self, node, copy, now):
+        accepted, evicted = node.buffer.insert(copy)
+        for lost in (evicted if accepted else (copy,)):
+            self.ledger[lost.msg.id][1] += 1
+            self.log(now, DROPPED, lost.msg.id, node.id, NO_NODE, lost.hops,
+                     REASON_OVERFLOW)
+        if accepted:
+            self._offer(node.id, (copy,), self.contacts_in_order[node.id].items())
+        return accepted
+
+    def _contact_offers(self, key):
+        a, b, _ = key
+        for me, peer in ((a, b), (b, a)):
+            self._offer(me, self.nodes[me].buffer.copies.values(),
+                        ((key, self.nodes[peer]),))
 
     def _run_transfers(self, now):
         budgets = {}
@@ -50,12 +91,14 @@ class OneOfferPerEntry(ScriptedSimulation):
         self._abort_lost(now)
         while True:
             completed = self.pool.advance(budgets)
-            completed.sort(key=lambda tr: (
-                tr.msg.seq, tr.receiver,
-                self.nodes[tr.sender].buffer.copies[tr.msg.id].hops,
-                tr.sender, tr.iface))
-            for tr in completed:
-                self._complete(tr, now)
+
+            def order(tr):
+                _, (sender, iface), msg, receiver, _, _ = tr
+                hops = self.nodes[sender].buffer.copies[msg.id].hops
+                return msg.seq, receiver, hops, sender, iface
+
+            completed.sort(key=order)
+            self._complete(completed, now)
             started = self._start_transfers()
             if not completed and not started:
                 break
@@ -70,7 +113,8 @@ class OneOfferPerEntry(ScriptedSimulation):
             q = self.queues[skey]
             buffer = self.nodes[sender_id].buffer
             while q:
-                _, _, _, receiver_id, msg_id, ckey = q[0]
+                _, _, _, msg_id, record = q[0]
+                ckey, receiver, _, _ = record
                 if ckey not in self.active:
                     heappop(q)
                     continue
@@ -82,12 +126,12 @@ class OneOfferPerEntry(ScriptedSimulation):
                     self.pinned_waits += 1
                     break
                 heappop(q)
-                if not routing.offer_for_message(
-                        self.cfg.router, (copy,), ((ckey, self.nodes[receiver_id]),)):
+                if not routing.offer_for_message(self.cfg.router, (copy,),
+                                                 (record,)):
                     self.refused += 1
                     continue
                 # the sort above, not the pool, orders completions
-                pool.begin(sender_id, receiver_id, iface, copy.msg, ckey,
+                pool.begin(sender_id, receiver.id, iface, copy.msg, ckey,
                            copy.hops)
                 buffer.pinned.add(msg_id)
                 started += 1
