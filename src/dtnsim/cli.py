@@ -51,9 +51,20 @@ def _out_dir(path: str) -> None:
 
 
 def _write_events(events, path: str) -> None:
+    """One tab-separated line per event, written 4,096 lines at a time; the
+    events of one tick share its time, so each time is formatted once."""
+    batch = 4096
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        last = stamp = None
+        lines = []
         for time, kind, msg_id, a, b, hops, reason in events:
-            fh.write(f"{time:.15g}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
+            if time != last:
+                last, stamp = time, f"{time:.15g}"
+            lines.append(f"{stamp}\t{kind}\t{msg_id}\t{a}\t{b}\t{hops}\t{reason}\n")
+            if len(lines) == batch:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
 
 
 def _print_summary(s: reports.MetricsSummary) -> None:

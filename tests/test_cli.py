@@ -230,6 +230,19 @@ def test_events_file_keeps_every_tick_time_exact(tmp_path):
     assert [float(line.split("\t")[0]) for line in lines] == times
 
 
+def test_events_file_writes_one_line_per_event_across_batches(tmp_path):
+    # the writer formats each tick's time once and writes in batches; the
+    # bytes must be those of one formatted line per event
+    events = [(tick * 0.5, "CONTACT_UP" if i % 3 else "RELAYED", f"M{i}", i % 7,
+               i % 5, i % 4, "-") for tick in range(6000) for i in range(tick % 4)]
+    assert len(events) > 2 * 4096
+    path = tmp_path / "events.tsv"
+    cli._write_events(events, str(path))
+    assert path.read_bytes() == "".join(
+        f"{t:.15g}\t{kind}\t{m}\t{a}\t{b}\t{h}\t{r}\n"
+        for t, kind, m, a, b, h, r in events).encode("utf-8")
+
+
 def test_run_invalid_config_exit1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY + "buffer_size = 200k\n")
