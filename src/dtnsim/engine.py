@@ -433,7 +433,6 @@ class Simulation:
         allowed = routing.allowed_offers
         queues, ready = self.queues, self.ready
         refused = self.refused
-        pop = heappop
         visiting = sorted(ready)
         # nothing joins ready during a pass; a slot stays only if it waits
         ready.clear()
@@ -447,11 +446,11 @@ class Simulation:
                 while receivers and receivers[0][0] not in active:
                     del receivers[0]
                 if not receivers:
-                    pop(q)
+                    heappop(q)
                     continue
                 copy = copies.get(msg_id)
                 if copy is None:
-                    pop(q)
+                    heappop(q)
                     continue
                 if msg_id in pinned:
                     ready.add(skey)
@@ -459,12 +458,12 @@ class Simulation:
                 at, passed = allowed(router, (copy,), receivers, active)
                 refused += at - passed
                 if at == len(receivers):
-                    pop(q)
+                    heappop(q)
                     continue
                 ckey, receiver, _, _ = receivers[at]
                 del receivers[:at + 1]
                 if not receivers:
-                    pop(q)
+                    heappop(q)
                 started.append(begin(sender_id, receiver.id, iface, copy.msg,
                                      ckey, copy.hops))
                 pinned.add(msg_id)

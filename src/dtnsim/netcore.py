@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import ceil, inf, sqrt
+from operator import itemgetter
 
 
 class Message:
@@ -191,6 +192,9 @@ class ContactDetector:
 
 # --- transfers ---------------------------------------------------------------
 
+_ORDER = itemgetter(0)
+
+
 class TransferPool:
     """Active transfers with one outgoing slot per (node, interface).
 
@@ -202,8 +206,7 @@ class TransferPool:
     ``advance``: by message creation, then receiver, then the hop count of
     the sender's copy, then sender, then interface.  The sender's copy
     stays pinned while the transfer runs, so its hop count is fixed at
-    ``begin``; a slot runs one transfer at a time, so no two transfers of
-    one ``advance`` share an ``order``.
+    ``begin``.
 
     ``tick_bytes`` maps each interface name to the bytes one slot may send
     per tick.
@@ -241,9 +244,7 @@ class TransferPool:
         tick_bytes, outgoing, done = self.tick_bytes, self.outgoing, self.completed_bytes
         for tr in outgoing.values() if transfers is None else transfers:
             _, key, msg, _, _, bytes_sent = tr
-            budget = budgets.get(key)
-            if budget is None:
-                budget = tick_bytes[key[1]]
+            budget = budgets.get(key, tick_bytes[key[1]])
             if budget <= 0.0:
                 continue
             size = msg.size
@@ -256,6 +257,5 @@ class TransferPool:
                 done[key] = done.get(key, 0.0) + size
         for tr in completed:
             del outgoing[tr[1]]
-        if len(completed) > 1:
-            completed.sort()    # by order, which no two of them share
+        completed.sort(key=_ORDER)
         return completed
