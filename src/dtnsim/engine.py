@@ -490,11 +490,10 @@ class Simulation:
             kind, hops, copy, sender_deleted = on_complete(router, sender,
                                                            receiver, msg)
             append((now, kind, msg_id, sender_id, receiver_id, hops, NO_REASON))
-            counters = ledger[msg_id]
             if sender_deleted:
-                counters[2] += 1
+                ledger[msg_id][2] += 1
             if copy is not None:
-                counters[0] += 1
+                ledger[msg_id][0] += 1
                 self._admit(receiver, copy, now)
 
     # --- audits -----------------------------------------------------------------

@@ -244,7 +244,9 @@ class TransferPool:
         tick_bytes, outgoing, done = self.tick_bytes, self.outgoing, self.completed_bytes
         for tr in outgoing.values() if transfers is None else transfers:
             _, key, msg, _, _, bytes_sent = tr
-            budget = budgets.get(key, tick_bytes[key[1]])
+            budget = budgets.get(key)
+            if budget is None:
+                budget = tick_bytes[key[1]]
             if budget <= 0.0:
                 continue
             size = msg.size
