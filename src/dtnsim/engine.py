@@ -424,14 +424,16 @@ class Simulation:
         Otherwise ``routing.allowed_offers`` finds the first receiver
         the rule still allows, and the refused ones before it are dropped.
         """
+        ready = self.ready
+        if not ready:
+            return []
         started = []
-        pool = self.pool
-        begin = pool.begin
+        begin = self.pool.begin
         nodes = self.nodes
         active = self.active
         router = self.cfg.router
         allowed = routing.allowed_offers
-        queues, ready = self.queues, self.ready
+        queues = self.queues
         refused = self.refused
         visiting = sorted(ready)
         # nothing joins ready during a pass; a slot stays only if it waits

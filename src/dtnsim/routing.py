@@ -60,7 +60,7 @@ def allowed_offers(router: RouterConfig, copies, records, live=None):
     if live is not None:
         (copy,) = copies
         msg = copy.msg
-        msg_id, dst = msg.id, msg.dst
+        msg_id = msg.id
         wait = spray and copy.copies < 2
         passed = 0
         # the refusal test is the one the offer loop below states; a loop
@@ -69,7 +69,7 @@ def allowed_offers(router: RouterConfig, copies, records, live=None):
             if key not in live:
                 passed += 1
             elif not (msg_id in held or msg_id in delivered
-                      or (wait and peer.id != dst)):
+                      or (wait and peer.id != msg.dst)):
                 return index, passed
         return len(records), passed
     groups = []
