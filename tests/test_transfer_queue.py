@@ -85,19 +85,18 @@ class OneOfferPerEntry(ScriptedSimulation):
             self._offer(me, self.nodes[me].buffer.copies.values(),
                         ((key, self.nodes[peer]),))
 
+    def _completion_order(self, tr):
+        _, (sender, iface), msg, receiver, _, _ = tr
+        hops = self.nodes[sender].buffer.copies[msg.id].hops
+        return msg.seq, receiver, hops, sender, iface
+
     def _run_transfers(self, now):
         budgets = {}
         self._start_transfers()
         self._abort_lost(now)
         while True:
             completed = self.pool.advance(budgets)
-
-            def order(tr):
-                _, (sender, iface), msg, receiver, _, _ = tr
-                hops = self.nodes[sender].buffer.copies[msg.id].hops
-                return msg.seq, receiver, hops, sender, iface
-
-            completed.sort(key=order)
+            completed.sort(key=self._completion_order)
             self._complete(completed, now)
             started = self._start_transfers()
             if not completed and not started:
