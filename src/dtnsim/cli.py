@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (a scenario or CSV that does not
 parse, validation findings or a run failure), 2 usage/IO error (a bad
-flag, an unreadable input or an unusable ``--out``).  ``main`` alone turns
-a failure into its exit code and stderr lines; the commands only raise.
+flag, an unreadable input or an unusable ``--out``), 130 interrupted
+(Ctrl-C).  ``main`` alone turns a failure into its exit code and stderr
+lines; the commands only raise.
 ``DTNSIM_THREADS`` caps sweep parallelism (unset or 0: number of
 processors); runs are independent, so parallel execution cannot change
 results, and outputs are written in sorted order regardless.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -23,6 +25,7 @@ from . import engine, reports, scenario
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -154,8 +157,10 @@ def _sweep(cfgs: list[scenario.ScenarioConfig], seeds: list[int],
            workers: int | None) -> list[tuple[str, int, int, reports.MetricsSummary]]:
     """``sweep_runs`` for the checked run configs ``cfgs``."""
     workers = max(1, min(workers or os.cpu_count() or 1, len(cfgs) * len(seeds)))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    # workers ignore Ctrl-C: the main process alone stops the sweep
+    with (ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                              initargs=(signal.SIGINT, signal.SIG_IGN))
+          if workers > 1 else nullcontext()) as pool:
         each = map if pool is None else pool.map
         # any run's config records them: only the axes differ
         traces = each(engine.record_contacts, [cfgs[0]] * len(seeds), seeds)
@@ -281,6 +286,11 @@ def main(argv=None) -> int:
         code, lines = EXIT_DOMAIN, exc.args
     except (scenario.ScenarioError, engine.SimulationError, reports.CsvError) as exc:
         code, lines = EXIT_DOMAIN, [f"error: {exc}"]
+    except KeyboardInterrupt:
+        out = getattr(args, "out", None)
+        code, lines = EXIT_INTERRUPTED, [
+            f"interrupted: --out {out} is left incomplete"
+            if out and os.path.isdir(out) else "interrupted"]
     for line in lines:
         print(line, file=sys.stderr)
     return code

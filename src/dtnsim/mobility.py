@@ -19,48 +19,37 @@ from .worldmap import MapGraph, shortest_path
 
 
 class MovementState:
-    __slots__ = ("position", "path", "seg_ends", "seg_cursor",
+    __slots__ = ("position", "path", "seg_ends", "segs", "seg_cursor",
                  "progress", "speed", "pause_until")
 
     def __init__(self, vertex: int, position: tuple[float, float]):
         self.position = position
-        # the current leg; the next leg starts at its last vertex
+        # the current leg (see ``_leg``); the next leg starts at its last vertex
         self.path: tuple[int, ...] = (vertex,)
-        self.seg_ends: list[float] = []
+        self.seg_ends: tuple[float, ...] = ()
+        self.segs: tuple[tuple, ...] = ()
         self.seg_cursor = 0
         self.progress = 0.0
         self.speed = 0.0
         self.pause_until = 0.0
 
 
-def _set_path(state: MovementState, graph: MapGraph, path: tuple[int, ...]) -> None:
-    state.path = path
-    ends = []
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        (x1, y1), (x2, y2) = graph.vertices[a], graph.vertices[b]
-        total += ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
-        ends.append(total)
-    state.seg_ends = ends
-    state.seg_cursor = 0
-    state.progress = 0.0
-
-
-def _interpolate(state: MovementState, graph: MapGraph) -> tuple[float, float]:
-    """Position at the current progress, short of arrival; advances the
-    segment cursor."""
-    path = state.path
-    ends = state.seg_ends
-    cur = state.seg_cursor
-    while state.progress > ends[cur]:
-        cur += 1
-    state.seg_cursor = cur
-    a = graph.vertices[path[cur]]
-    b = graph.vertices[path[cur + 1]]
-    seg_start = ends[cur - 1] if cur > 0 else 0.0
-    seg_len = ends[cur] - seg_start
-    t = (state.progress - seg_start) / seg_len if seg_len > 0 else 1.0
-    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+def _leg(graph: MapGraph, src: int, dst: int) -> tuple:
+    """The leg from ``src`` to ``dst``, stored in ``graph.legs`` on first use:
+    ``(path, seg_ends, segs)``, with the cumulative length at each segment's
+    end and each segment's ``(end, start, length, x0, y0, dx, dy)``."""
+    leg = graph.legs.get((src, dst))
+    if leg is None:
+        path = shortest_path(graph, src, dst)
+        segs = []
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            (x1, y1), (x2, y2) = graph.vertices[a], graph.vertices[b]
+            dx, dy, start = x2 - x1, y2 - y1, total
+            total += (dx ** 2 + dy ** 2) ** 0.5
+            segs.append((total, start, total - start, x1, y1, dx, dy))
+        leg = graph.legs[src, dst] = (path, tuple(s[0] for s in segs), tuple(segs))
+    return leg
 
 
 def place(group: GroupConfig, graph: MapGraph, member_index: int) -> int:
@@ -90,7 +79,9 @@ def plan_next_leg(state: MovementState, graph: MapGraph, group: GroupConfig,
     pick = rng.randrange(graph.vertex_count() - 1)
     if pick >= vertex:
         pick += 1
-    _set_path(state, graph, shortest_path(graph, vertex, pick))
+    state.path, state.seg_ends, state.segs = _leg(graph, vertex, pick)
+    state.seg_cursor = 0
+    state.progress = 0.0
     state.speed = rng.uniform(group.speed_range[0], group.speed_range[1])
     return state
 
@@ -103,14 +94,19 @@ def step(state: MovementState, now: float, dt: float, graph: MapGraph,
             return state
         plan_next_leg(state, graph, group, rng)
 
-    state.progress += state.speed * dt
-    total = state.seg_ends[-1]
-    if state.progress >= total:
+    progress = state.progress = state.progress + state.speed * dt
+    if progress >= state.seg_ends[-1]:
         # arrival: truncate overshoot, pause starting at the tick boundary
-        state.progress = total
+        state.progress = state.seg_ends[-1]
         state.position = graph.vertices[state.path[-1]]
         state.pause_until = now + dt + rng.uniform(group.pause_range[0],
                                                    group.pause_range[1])
         return state
-    state.position = _interpolate(state, graph)
+    segs, cur = state.segs, state.seg_cursor
+    while progress > segs[cur][0]:
+        cur += 1
+    state.seg_cursor = cur
+    _, start, length, x0, y0, dx, dy = segs[cur]
+    t = (progress - start) / length if length > 0 else 1.0
+    state.position = (x0 + dx * t, y0 + dy * t)
     return state

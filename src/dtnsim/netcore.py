@@ -131,8 +131,8 @@ class ContactDetector:
     def __init__(self, node_interfaces: list[tuple[str, ...]],
                  interface_ranges: dict[str, float],
                  node_speeds: list[float], tick: float):
-        # entry: (a, b, range, range ** 2, step, (a, b, interface)), where
-        # step bounds how far the pair distance can move in one tick
+        # entry: [a, b, range, range ** 2, step, (a, b, interface), inside]:
+        # step bounds the pair distance's move per tick; inside mirrors active
         entries = []
         n = len(node_interfaces)
         for i in range(n):
@@ -141,7 +141,7 @@ class ContactDetector:
                 step = (node_speeds[i] + node_speeds[j]) * tick
                 for name in sorted(set_i.intersection(node_interfaces[j])):
                     r = interface_ranges[name]
-                    entries.append((i, j, r, r ** 2, step, (i, j, name)))
+                    entries.append([i, j, r, r ** 2, step, (i, j, name), False])
         self.tick_index = 0
         self.calendar: defaultdict[int, list] = defaultdict(list)
         self.calendar[0] = entries
@@ -159,29 +159,35 @@ class ContactDetector:
         self.tick_index = tick + 1
         active, calendar = self.active, self.calendar
         due = self.pairs = calendar.pop(tick, [])
+        next_tick = calendar[tick + 1]
         up = []
         down = []
         for entry in due:
-            i, j, r, r2, step, key = entry
+            i, j, r, r2, step, key, inside = entry
             xi, yi = positions[i]
             xj, yj = positions[j]
             dx = xi - xj
             dy = yi - yj
             d2 = dx * dx + dy * dy
             if d2 <= r2:
-                if key not in active:
+                if not inside:
+                    entry[6] = True
                     active.add(key)
                     up.append(key)
-            elif key in active:
-                active.remove(key)
-                down.append(key)
+                gap = r - sqrt(d2)
+            else:
+                if inside:
+                    entry[6] = False
+                    active.remove(key)
+                    down.append(key)
+                gap = sqrt(d2) - r
             if not step:
                 continue    # two stationary nodes: the state is final
             # the distance moves by at most `step` per tick, so it cannot
-            # reach the boundary for `wait` ticks
-            wait = (abs(sqrt(d2) - r) - WAKE_MARGIN_M) / step
+            # reach the boundary for `wait` ticks (a rounded gap < 0 wakes sooner)
+            wait = (gap - WAKE_MARGIN_M) / step
             if wait <= 1.0:
-                calendar[tick + 1].append(entry)
+                next_tick.append(entry)
             elif wait < inf:
                 calendar[tick + ceil(wait)].append(entry)
             # else: speeds so small that no run reaches the boundary

@@ -20,13 +20,16 @@ class MapError(ValueError):
 
 @dataclass
 class MapGraph:
-    """Immutable after construction; concurrent readers are safe."""
+    """Fixed after construction, apart from ``legs``: the store of each leg
+    ``mobility`` walked, ``(src, dst)`` -> path and segment geometry, built
+    on first use.  A leg depends on the map alone; readers may share it."""
 
     vertices: list[tuple[float, float]]
     edges: list[tuple[int, int]]                       # (i, j) with i < j
     adjacency: list[list[tuple[int, float]]] = field(init=False)
     ring_vertices: tuple[int, ...] = ()                # synthetic maps only
     exit_vertices: tuple[int, ...] = ()
+    legs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]

@@ -11,6 +11,7 @@ import pytest
 from dtnsim import scenario
 from dtnsim.engine import ContactTrace, Simulation
 from dtnsim.netcore import Message
+from dtnsim.worldmap import shortest_path
 
 DESK_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "desk.cfg"
 
@@ -98,6 +99,66 @@ class BruteForceContacts:
         down = sorted(self.active - current)
         self.active = current
         return up, down
+
+
+class ReferenceMover:
+    """One mobile node moved as ``mobility`` specifies, kept as the oracle
+    for ``mobility.step`` and its store of legs: each leg's path comes from
+    ``shortest_path`` and its cumulative segment ends are summed afresh, and
+    each position is interpolated from the map's vertices.  It draws from
+    ``rng`` in the order ``mobility.start`` and ``mobility.step`` do."""
+
+    def __init__(self, group, graph, rng):
+        self.group, self.graph, self.rng = group, graph, rng
+        vertex = rng.randrange(graph.vertex_count())
+        self.position = graph.vertices[vertex]
+        self.path = (vertex,)
+        self.pause_until = 0.0
+        self.legs = 0
+        self._plan()
+
+    def _plan(self):
+        graph, vertex = self.graph, self.path[-1]
+        pick = self.rng.randrange(graph.vertex_count() - 1)
+        if pick >= vertex:
+            pick += 1
+        self.path = shortest_path(graph, vertex, pick)
+        self.ends = []
+        total = 0.0
+        for a, b in zip(self.path, self.path[1:]):
+            (x1, y1), (x2, y2) = graph.vertices[a], graph.vertices[b]
+            total += ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
+            self.ends.append(total)
+        self.cursor = 0
+        self.progress = 0.0
+        self.speed = self.rng.uniform(self.group.speed_range[0],
+                                      self.group.speed_range[1])
+        self.legs += 1
+
+    def step(self, now, dt):
+        """Advance one tick covering [now, now + dt)."""
+        if self.progress >= self.ends[-1]:
+            if self.pause_until > now:
+                return
+            self._plan()
+        self.progress += self.speed * dt
+        ends = self.ends
+        if self.progress >= ends[-1]:
+            self.progress = ends[-1]
+            self.position = self.graph.vertices[self.path[-1]]
+            pause = self.group.pause_range
+            self.pause_until = now + dt + self.rng.uniform(pause[0], pause[1])
+            return
+        cur = self.cursor
+        while self.progress > ends[cur]:
+            cur += 1
+        self.cursor = cur
+        a = self.graph.vertices[self.path[cur]]
+        b = self.graph.vertices[self.path[cur + 1]]
+        seg_start = ends[cur - 1] if cur > 0 else 0.0
+        seg_len = ends[cur] - seg_start
+        t = (self.progress - seg_start) / seg_len if seg_len > 0 else 1.0
+        self.position = (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
 def scripted_trace(cfg, contacts) -> ContactTrace:

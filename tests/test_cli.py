@@ -1,4 +1,10 @@
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -628,3 +634,56 @@ def test_runs_that_can_create_no_message_exit_1(tmp_path, capsys, edit):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "no message can be created" in err[0], (argv, err)
     assert not (tmp_path / "out").exists()
+
+
+def interrupted(argv, out, whole_group=False, **env):
+    """(exit code, stderr) of ``python -m dtnsim.cli`` with ``argv``, sent
+    SIGINT once ``out`` exists: to the process alone, or to its whole
+    process group, as a terminal's Ctrl-C is."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dtnsim.cli", *argv], text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, start_new_session=True,
+        # a shell starts background jobs with SIGINT ignored
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        time.sleep(0.3)     # into the simulation
+        if whole_group:
+            os.killpg(child.pid, signal.SIGINT)
+        else:
+            child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    return child.returncode, err
+
+
+def test_interrupted_run_exits_130_with_one_line(tmp_path):
+    out = tmp_path / "out"
+    code, err = interrupted(["run", str(STADIUM_CFG), "--seed", "1",
+                             "--out", str(out)], out)
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert err.splitlines() == [f"interrupted: --out {out} is left incomplete"]
+    assert "Traceback" not in err
+
+
+def test_interrupted_parallel_sweep_prints_no_worker_traceback(tmp_path):
+    cfg = tmp_path / "stadium.cfg"
+    cfg.write_text(edited(STADIUM_CFG.read_text(),
+                          ("sim_duration = 12h", "sim_duration = 1h")))
+    out = tmp_path / "out"
+    code, err = interrupted(["sweep", str(cfg), "--protocols", "spray-and-wait",
+                             "--buffers", "5M", "--seeds", "1,2,3,4,5,6",
+                             "--out", str(out)], out, whole_group=True,
+                            DTNSIM_THREADS="2")
+    assert code == 130
+    assert err.splitlines() == [f"interrupted: --out {out} is left incomplete"]
+    assert "Traceback" not in err
+    assert not (out / "metrics.csv").exists()

@@ -1,9 +1,16 @@
+import dataclasses
 import math
 import random
+from pathlib import Path
 
-from dtnsim import engine, mobility
+from dtnsim import engine, mobility, scenario
 from dtnsim.scenario import GroupConfig
-from dtnsim.worldmap import build_graph, generate_stadium_map
+from dtnsim.worldmap import build_graph, generate_stadium_map, shortest_path
+
+from conftest import ReferenceMover, edited
+from test_contacts import MAP_TEXT
+
+STADIUM_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "stadium.cfg"
 
 AUDIENCE = GroupConfig("audience", 4, "shortest-path-map-based", (0.4, 1.0),
                        (0.0, 120.0), ("bluetooth",), ("message_source",))
@@ -193,3 +200,87 @@ def test_stationary_group_positions_never_change_over_run(tiny_config):
     for tick_index in range(200):
         live.at(tick_index)
         assert {i: live.positions[i] for i in placed} == placed
+
+
+def assert_moves_as_reference(cfg, seed):
+    """Every mobile node's position on every tick of the run equals that of
+    its ``ReferenceMover``, which walks its own copy of the map; returns the
+    live contacts' map and the movers."""
+    live = engine.LiveContacts(cfg, seed)
+    own_map = engine.load_map(cfg.map_source, seed)
+    movers = [(node_id, ReferenceMover(group, own_map,
+                                       engine.rng_stream(seed, f"mobility/{node_id}")))
+              for node_id, _, group, _ in live.mobile]
+    assert movers
+    for tick in range(scenario.tick_count(cfg)):
+        live.at(tick)
+        now = tick * cfg.tick
+        for node_id, mover in movers:
+            mover.step(now, cfg.tick)
+            assert live.positions[node_id] == mover.position, (tick, node_id)
+    for (src, dst), (path, seg_ends, segs) in live.graph.legs.items():
+        assert path == shortest_path(own_map, src, dst)
+        assert seg_ends == tuple(seg[0] for seg in segs)
+    return live.graph, [mover for _, mover in movers]
+
+
+def stadium_config(sim_duration, map_path=None):
+    """The shipped stadium scenario, on the map file ``map_path`` if given."""
+    text = STADIUM_CFG.read_text(encoding="utf-8")
+    if map_path is not None:
+        text = edited(text, ("map = synthetic", f"map = {map_path}"))
+    cfg = scenario.parse_scenario(text)
+    assert not scenario.validate(cfg)
+    return dataclasses.replace(cfg, sim_duration=float(sim_duration))
+
+
+def test_stadium_walk_matches_the_reference_mover_as_legs_repeat():
+    graph, movers = assert_moves_as_reference(stadium_config(7200), 1)
+    walked = sum(mover.legs for mover in movers)
+    # the store holds each leg once, however often it is walked
+    n = graph.vertex_count()
+    assert len(graph.legs) <= n * (n - 1)
+    assert walked >= 2 * len(graph.legs), (walked, len(graph.legs))
+
+
+def test_linestring_walk_matches_the_reference_mover(tmp_path):
+    roads = tmp_path / "roads.wkt"
+    roads.write_text(MAP_TEXT)
+    graph, movers = assert_moves_as_reference(
+        stadium_config(3600, roads), 2)
+    assert sum(mover.legs for mover in movers) > len(graph.legs)
+
+
+def test_walk_over_an_edge_absorbed_into_the_leg_length(tmp_path):
+    # from vertex 0, the 1e-14 m edge follows 1,000 m of path and adds
+    # nothing to the sum (half an ulp of 1,000 is 5.7e-14): its segment
+    # starts and ends at 1,000 m and has length 0.0, and the cursor must
+    # pass it as the reference does
+    roads = tmp_path / "tiny.wkt"
+    roads.write_text("LINESTRING (0 0, 1000 0, 1000 1e-14, 1000 100)\n")
+    graph, _ = assert_moves_as_reference(stadium_config(3600, roads), 3)
+    absorbed = [seg for _, _, segs in graph.legs.values() for seg in segs
+                if seg[2] == 0.0]
+    assert absorbed
+    assert all(seg[:2] == (1000.0, 1000.0) for seg in absorbed)
+
+
+def test_a_motionless_node_rests_on_a_zero_length_first_segment():
+    # squaring the 1e-170 m edge underflows, so the leg 2 -> 1 -> 0 has a
+    # first segment of length 0.0, which a node at speed 0 never leaves:
+    # the guard puts it at the segment's end, as the reference does
+    vertices, edges = [(0.0, 5.0), (1e-170, 0.0), (0.0, 0.0)], [(0, 1), (1, 2)]
+    still = GroupConfig("still", 1, "shortest-path-map-based", (0.0, 0.0),
+                        (0.0, 0.0), ("bluetooth",))
+    rested = 0
+    for seed in range(20):
+        graph = build_graph(vertices, edges)
+        rng = random.Random(seed)
+        st = mobility.start(still, graph, rng)
+        mover = ReferenceMover(still, build_graph(vertices, edges), random.Random(seed))
+        for t in range(3):
+            mobility.step(st, float(t), 1.0, graph, still, rng)
+            mover.step(float(t), 1.0)
+            assert st.position == mover.position, (seed, t)
+        rested += st.segs[st.seg_cursor][2] == 0.0 < st.seg_ends[-1]
+    assert rested

@@ -213,7 +213,7 @@ def test_stationary_pair_is_examined_once():
             events.append((x, "up", key[:2]))
         assert det.active == active
         for entry in det.pairs:
-            examined[entry[:2]] += 1
+            examined[entry[5][:2]] += 1
     assert events == [(-100.0, "up", (0, 1)),
                       (-14.0, "up", (0, 2)), (-4.0, "up", (1, 2)),
                       (15.0, "down", (0, 2)), (25.0, "down", (1, 2))]
