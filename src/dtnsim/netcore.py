@@ -131,17 +131,32 @@ class ContactDetector:
     def __init__(self, node_interfaces: list[tuple[str, ...]],
                  interface_ranges: dict[str, float],
                  node_speeds: list[float], tick: float):
-        # entry: [a, b, range, range ** 2, step, (a, b, interface), inside]:
-        # step bounds the pair distance's move per tick; inside mirrors active
+        # nodes of one interface tuple and one speed bound form a class; each
+        # pair of classes shares one tuple of (range, range ** 2, step,
+        # interface) per shared interface, step bounding the pair distance's
+        # move per tick.  entry: [a, b, range, range ** 2, step, interface,
+        # inside], inside mirroring active; the key (a, b, interface) is
+        # built only when the entry goes up or down
+        classes: dict[tuple, int] = {}
+        node_class = [classes.setdefault(c, len(classes))
+                      for c in zip(node_interfaces, node_speeds)]
+        shared = []     # shared[a][b]: the tuples of classes a and b
+        for names_a, speed_a in classes:
+            row = []
+            for names_b, speed_b in classes:
+                step = (speed_a + speed_b) * tick
+                row.append(tuple(
+                    (interface_ranges[name], interface_ranges[name] ** 2, step, name)
+                    for name in sorted(set(names_a).intersection(names_b))))
+            shared.append(row)
+        ids = list(range(len(node_class)))      # one int object per node
         entries = []
-        n = len(node_interfaces)
-        for i in range(n):
-            set_i = set(node_interfaces[i])
-            for j in range(i + 1, n):
-                step = (node_speeds[i] + node_speeds[j]) * tick
-                for name in sorted(set_i.intersection(node_interfaces[j])):
-                    r = interface_ranges[name]
-                    entries.append([i, j, r, r ** 2, step, (i, j, name), False])
+        append = entries.append
+        for i in ids:
+            row = shared[node_class[i]]
+            for j in ids[i + 1:]:
+                for r, r2, step, name in row[node_class[j]]:
+                    append([i, j, r, r2, step, name, False])
         self.tick_index = 0
         self.calendar: defaultdict[int, list] = defaultdict(list)
         self.calendar[0] = entries
@@ -163,7 +178,7 @@ class ContactDetector:
         up = []
         down = []
         for entry in due:
-            i, j, r, r2, step, key, inside = entry
+            i, j, r, r2, step, name, inside = entry
             xi, yi = positions[i]
             xj, yj = positions[j]
             dx = xi - xj
@@ -172,12 +187,14 @@ class ContactDetector:
             if d2 <= r2:
                 if not inside:
                     entry[6] = True
+                    key = (i, j, name)
                     active.add(key)
                     up.append(key)
                 gap = r - sqrt(d2)
             else:
                 if inside:
                     entry[6] = False
+                    key = (i, j, name)
                     active.remove(key)
                     down.append(key)
                 gap = sqrt(d2) - r

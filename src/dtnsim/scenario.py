@@ -39,7 +39,7 @@ MAX_MESSAGES = 10**6
 
 # The paper's stadium has 85 nodes and 8 exits.  Contact detection keeps an
 # entry per node pair, so memory grows with the square of the node count
-# (about 150 MB to build a 1,000-node stadium run); the synthetic map grows
+# (about 100 MB to build a 1,000-node stadium run); the synthetic map grows
 # with the exit count.  Larger values are typos, not experiments.
 MAX_NODES = 1000
 MAX_EXITS = 1000

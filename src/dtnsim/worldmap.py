@@ -20,9 +20,12 @@ class MapError(ValueError):
 
 @dataclass
 class MapGraph:
-    """Fixed after construction, apart from ``legs``: the store of each leg
-    ``mobility`` walked, ``(src, dst)`` -> path and segment geometry, built
-    on first use.  A leg depends on the map alone; readers may share it."""
+    """Fixed after construction, apart from two stores filled on first use:
+    ``legs``, each leg ``mobility`` walked, ``(src, dst)`` -> path and
+    segment geometry, and beside it ``distances``, each destination
+    ``shortest_path`` was asked for, ``dst`` -> the Dijkstra distance of
+    every vertex to it.  Both depend on the map alone; readers may share
+    them."""
 
     vertices: list[tuple[float, float]]
     edges: list[tuple[int, int]]                       # (i, j) with i < j
@@ -30,6 +33,7 @@ class MapGraph:
     ring_vertices: tuple[int, ...] = ()                # synthetic maps only
     exit_vertices: tuple[int, ...] = ()
     legs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    distances: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
@@ -146,34 +150,44 @@ def shortest_path(g: MapGraph, src: int, dst: int) -> tuple[int, ...]:
     if src == dst:
         return (src,)
 
-    # distances to dst, then a greedy forward walk choosing the smallest
-    # neighbor index that stays on a shortest path
-    INF = math.inf
-    dist = [INF] * n
-    dist[dst] = 0.0
-    heap = [(0.0, dst)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in g.adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    if dist[src] == INF:
+    # distances to dst, computed once per map and destination
+    dist = g.distances.get(dst)
+    if dist is None:
+        dist = g.distances[dst] = [math.inf] * n
+        dist[dst] = 0.0
+        heap = [(0.0, dst)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, w in g.adjacency[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+    if dist[src] == math.inf:
         raise MapError(f"vertex {dst} unreachable from {src}")
 
+    # a greedy forward walk to the smallest unvisited neighbor index that
+    # stays on a shortest path.  An edge shorter than the rounding of the
+    # distances beside it passes the test both ways, so the walk can reach a
+    # vertex whose only such neighbors are visited; it then backs up.
+    # Dijkstra parents lead from every vertex to dst along edges that pass
+    # the test, and a walk that backs up reaches every vertex such edges
+    # lead to, so it reaches dst.
     seq = [src]
+    seen = {src}
     u = src
     while u != dst:
         for v, w in g.adjacency[u]:        # sorted by index
-            if dist[u] == w + dist[v]:
+            if v not in seen and dist[u] == w + dist[v]:
+                seen.add(v)
                 seq.append(v)
                 u = v
                 break
         else:
-            raise MapError("shortest-path reconstruction failed")
+            seq.pop()
+            u = seq[-1]
     return tuple(seq)
 
 

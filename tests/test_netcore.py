@@ -185,8 +185,8 @@ def test_unchanged_positions_change_no_contact():
     assert up == [(0, 1, "bluetooth"), (0, 1, "wifi"), (0, 2, "wifi"),
                   (1, 2, "wifi")]
     assert det.detect(positions) == ([], [])
-    assert {entry[5] for entry in det.pairs} == {(0, 1, "bluetooth"),
-                                                 (0, 2, "wifi")}
+    assert {(entry[0], entry[1], entry[5]) for entry in det.pairs} == {
+        (0, 1, "bluetooth"), (0, 2, "wifi")}
 
 
 def test_mixed_ranges_only_pair_like_interfaces():
@@ -213,13 +213,69 @@ def test_stationary_pair_is_examined_once():
             events.append((x, "up", key[:2]))
         assert det.active == active
         for entry in det.pairs:
-            examined[entry[5][:2]] += 1
+            examined[entry[0], entry[1]] += 1
     assert events == [(-100.0, "up", (0, 1)),
                       (-14.0, "up", (0, 2)), (-4.0, "up", (1, 2)),
                       (15.0, "down", (0, 2)), (25.0, "down", (1, 2))]
     assert examined[(0, 1)] == 1
     # a moving pair is checked near its crossings, not on every tick
     assert 4 <= examined[(0, 2)] < 100
+
+
+def per_pair_entries(interfaces, ranges, speeds, tick):
+    """The detector's tick-0 entries built pair by pair, as ``(a, b,
+    interface, range, range ** 2, step)`` in (a, b, interface) order."""
+    entries = []
+    for a in range(len(interfaces)):
+        for b in range(a + 1, len(interfaces)):
+            step = (speeds[a] + speeds[b]) * tick
+            for name in sorted(set(interfaces[a]) & set(interfaces[b])):
+                r = ranges[name]
+                entries.append((a, b, name, r, r ** 2, step))
+    return entries
+
+
+def test_detector_entries_equal_the_per_pair_construction():
+    ranges = {"bluetooth": 15.0, "wifi": 500.0, "highspeed": 1200.0,
+              "lora": 2000.0, "uwb": 0.3}
+    rng = random.Random(2016)
+    seen = {"reordered": 0, "speeds_differ": 0, "stationary": 0, "unshared": 0}
+    for _ in range(300):
+        groups = []
+        for _ in range(rng.randint(1, 6)):
+            names = rng.sample(sorted(ranges), rng.randint(1, 3))
+            speed = rng.choice([0.0, 0.0, 0.7, 1.0, 2.5, 12.0])
+            groups.append((tuple(names), speed))
+            if rng.random() < 0.3:      # the same interfaces in another order
+                groups.append((tuple(rng.sample(names, len(names))), speed))
+            if rng.random() < 0.3:      # the same tuple at another speed bound
+                groups.append((tuple(names), rng.choice([0.0, 1.5, 4.0])))
+        nodes = [rng.choice(groups) for _ in range(rng.randint(2, 24))]
+        interfaces = [names for names, _ in nodes]
+        speeds = [speed for _, speed in nodes]
+        tick = rng.choice([1.0, 0.5, 0.1])
+
+        det = ContactDetector(interfaces, ranges, speeds, tick)
+        built = [(a, b, name, r, r2, step)
+                 for a, b, r, r2, step, name, inside in det.calendar[0]]
+        expected = per_pair_entries(interfaces, ranges, speeds, tick)
+        assert set(built) == set(expected)
+        assert built == expected
+        assert not any(entry[6] for entry in det.calendar[0])
+
+        orders, bounds = {}, {}
+        for names, speed in nodes:
+            orders.setdefault(frozenset(names), set()).add(names)
+            bounds.setdefault(names, set()).add(speed)
+        seen["reordered"] += any(len(v) > 1 for v in orders.values())
+        seen["speeds_differ"] += any(len(v) > 1 for v in bounds.values())
+        seen["stationary"] += 0.0 in speeds
+        counts = {}
+        for names in interfaces:
+            for name in set(names):
+                counts[name] = counts.get(name, 0) + 1
+        seen["unshared"] += 1 in counts.values()
+    assert min(seen.values()) >= 30, seen
 
 
 # --- transfers ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 
@@ -144,15 +145,48 @@ def test_equal_length_tie_prefers_lexicographic_path():
 
 
 def test_shortest_path_matches_brute_force_on_random_graphs():
+    # every pair on one graph object, so most queries reach a destination's
+    # stored distance list
     rng = random.Random(1331)
     for _ in range(60):
         g = random_connected_graph(rng)
         n = g.vertex_count()
-        src, dst = rng.randrange(n), rng.randrange(n)
-        length, seq = brute_force_min_path(g, src, dst)
-        p = shortest_path(g, src, dst)
-        assert p == seq
-        assert path_length(g, p) == pytest.approx(length, abs=1e-9)
+        for src in range(n):
+            for dst in range(n):
+                length, seq = brute_force_min_path(g, src, dst)
+                p = shortest_path(g, src, dst)
+                assert p == seq
+                assert path_length(g, p) == pytest.approx(length, abs=1e-9)
+        assert sorted(g.distances) == list(range(n))
+
+
+def within(seconds: float, call, *args):
+    """``call(*args)``, raising ``TimeoutError`` if it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("vertices, edges, src, dst, expected", [
+    # a 1e-170 m edge beside a 5 m one: the distance test holds both ways
+    # across the short edge, in either vertex numbering
+    ([(0.0, 0.0), (1e-170, 0.0), (0.0, 5.0)], [(0, 1), (1, 2)], 0, 2, (0, 1, 2)),
+    ([(0.0, 5.0), (1e-170, 0.0), (0.0, 0.0)], [(0, 1), (1, 2)], 2, 0, (2, 1, 0)),
+    # the short edge leads to a dead end the walk must back out of
+    ([(0.0, 0.0), (1e-170, 0.0), (0.0, 5.0)], [(0, 1), (0, 2)], 0, 2, (0, 2)),
+])
+def test_path_across_an_edge_shorter_than_rounding_returns(vertices, edges, src,
+                                                           dst, expected):
+    g = build_graph(vertices, edges)
+    assert within(2.0, shortest_path, g, src, dst) == expected
+    assert within(2.0, shortest_path, g, dst, src) == expected[::-1]
 
 
 def test_triangle_inequality_on_random_graphs():
