@@ -88,6 +88,15 @@ def build_graph(vertices, edges, *, ring=(), exits=()) -> MapGraph:
                  exit_vertices=tuple(exits))
     if not _check_connected(g.vertices, g.adjacency):
         raise MapError("map graph is not connected")
+    # a path's length, and mobility's squared segment lengths, must stay
+    # finite: else shortest_path finds no path or a leg overflows mid-run
+    xs = [x for x, _ in g.vertices]
+    ys = [y for _, y in g.vertices]
+    if not all(map(math.isfinite, xs + ys)):
+        raise MapError("vertex coordinates must be finite")
+    width, height = max(xs) - min(xs), max(ys) - min(ys)
+    if not math.isfinite(width * width + height * height):
+        raise MapError("map too large: its squared extent overflows")
     return g
 
 

@@ -53,7 +53,11 @@ def test_validate_missing_file():
     (b"LINESTRING (0 0, 100 0)\nLINESTRING (500 500, 600 500)\n", "not connected"),
     (b"LINESTRING (0 0 100 0)\n", "expected 'x y' pair"),
     (b"LINESTRING (0 0, \xff 0)\n", "can't decode"),
-], ids=["disconnected", "malformed", "not-utf8"])
+    # maps on which a path or a leg would have no finite length
+    (b"LINESTRING (0 0, inf 0, 5 5)\n", "coordinates must be finite"),
+    (b"LINESTRING (0 0, nan 0, 5 5)\n", "coordinates must be finite"),
+    (b"LINESTRING (0 0, 1e308 0, 1e308 1e308)\n", "squared extent overflows"),
+], ids=["disconnected", "malformed", "not-utf8", "infinite", "nan", "too-large"])
 def test_bad_map_file_exits_1_everywhere(tmp_path, capsys, monkeypatch,
                                          map_bytes, reason):
     monkeypatch.setenv("DTNSIM_THREADS", "1")
