@@ -60,7 +60,9 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import defaultdict, deque
+from collections.abc import Iterator
 from heapq import heappop, heappush
+from operator import eq
 from typing import NamedTuple
 
 from . import mobility, routing, traffic
@@ -72,7 +74,8 @@ from .reports import (ABORTED, CONTACT_DOWN, CONTACT_UP, CREATED, DROPPED,
 from .scenario import MapSpec, ScenarioConfig, tick_count, validate
 from .worldmap import MapError, MapGraph, generate_stadium_map, parse_map
 
-# event record: (time, kind, msg_id, node_a, node_b, hops, reason)
+# event record: (time, kind, msg_id, node_a, node_b, hops, reason), as an
+# EventLog reads it back; the log itself stores no such tuple
 Event = tuple[float, str, str, int, int, int, str]
 
 NO_MSG = "-"
@@ -82,6 +85,39 @@ NO_NODE = -1
 
 class SimulationError(Exception):
     pass
+
+
+class EventLog:
+    """A run's events in order, each read back as an ``Event`` tuple.
+
+    ``fields`` holds the seven fields of every event one after another, so
+    an event costs seven list slots and no object of its own, and no event
+    adds an object that the cyclic garbage collector tracks.
+    Writers add an event with ``fields.extend((time, kind, msg_id, a, b,
+    hops, reason))``; the tuple is freed at once.
+    """
+
+    __slots__ = ("fields",)
+
+    def __init__(self):
+        self.fields: list = []
+
+    def __len__(self) -> int:
+        return len(self.fields) // 7
+
+    def __iter__(self) -> Iterator[Event]:
+        fields = iter(self.fields)
+        return zip(fields, fields, fields, fields, fields, fields, fields)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventLog):
+            return self.fields == other.fields
+        if isinstance(other, list):
+            return len(other) == len(self) and all(map(eq, self, other))
+        return NotImplemented
+
+    def clear(self) -> None:
+        self.fields.clear()
 
 
 def rng_stream(seed: int, label: str) -> random.Random:
@@ -162,6 +198,8 @@ class Simulation:
 
     Contacts come from ``contacts``, a trace to replay, or else live from
     (cfg, seed); a live run shows its node positions as ``positions``.
+    Every event goes to ``events``, an ``EventLog``, in the order it
+    happens.
     """
 
     def __init__(self, cfg: ScenarioConfig, seed: int,
@@ -194,7 +232,7 @@ class Simulation:
                                    if "message_destination" in n.group.role_flags)
 
         self.tick_index = 0
-        self.events: list[Event] = []
+        self.events = EventLog()
         self.pool = TransferPool({name: ic.bandwidth * cfg.tick
                                   for name, ic in cfg.interfaces.items()})
         self.active: dict[tuple[int, int, str], float] = {}
@@ -236,15 +274,16 @@ class Simulation:
 
     def log(self, time: float, kind: str, msg_id: str, a: int, b: int,
             hops: int, reason: str) -> None:
-        self.events.append((time, kind, msg_id, a, b, hops, reason))
+        self.events.fields.extend((time, kind, msg_id, a, b, hops, reason))
 
     # --- main loop ------------------------------------------------------------
 
-    def run(self) -> tuple[list[Event], MetricsSummary]:
+    def run(self) -> tuple[EventLog, MetricsSummary]:
         """Tick from the current tick through the last of the run's
-        ``tick_count(cfg)``, then fold and audit the log.  A caller that
-        ticked by hand and then cut ``cfg.sim_duration`` back to the clock
-        gets no further tick."""
+        ``tick_count(cfg)``, then fold and audit the log; returns
+        ``events``, the log itself, and its summary.  A caller that ticked
+        by hand and then cut ``cfg.sim_duration`` back to the clock gets no
+        further tick."""
         for _ in range(self.tick_index, tick_count(self.cfg)):
             self.tick()
         summary = compute_metrics(self.events)
@@ -306,8 +345,8 @@ class Simulation:
         for lost in (evicted if accepted else (copy,)):
             msg_id = lost.msg.id
             self.ledger[msg_id][1] += 1
-            self.events.append((now, DROPPED, msg_id, node_id, NO_NODE, lost.hops,
-                                REASON_OVERFLOW))
+            self.events.fields.extend((now, DROPPED, msg_id, node_id, NO_NODE,
+                                       lost.hops, REASON_OVERFLOW))
         if accepted:
             router = self.cfg.router
             copies = (copy,)
@@ -325,13 +364,13 @@ class Simulation:
         """Contact bookkeeping: the contact set, each side's receiver
         record of the other and the contact events."""
         active, receivers_of, nodes = self.active, self.receivers_of, self.nodes
-        append = self.events.append
+        record = self.events.fields.extend
         for key in downs:
             del active[key]
             a, b, iface = key
             del receivers_of[a][iface][key]
             del receivers_of[b][iface][key]
-            append((now, CONTACT_DOWN, NO_MSG, a, b, 0, iface))
+            record((now, CONTACT_DOWN, NO_MSG, a, b, 0, iface))
         for key in ups:
             active[key] = now
             a, b, iface = key
@@ -340,7 +379,7 @@ class Simulation:
                                            node_b.delivered)
             receivers_of[b][iface][key] = (key, node_a, node_a.buffer.copies,
                                            node_a.delivered)
-            append((now, CONTACT_UP, NO_MSG, a, b, 0, iface))
+            record((now, CONTACT_UP, NO_MSG, a, b, 0, iface))
 
     # --- phase 5: offers ---------------------------------------------------------
 
@@ -478,7 +517,7 @@ class Simulation:
         sender's copy, log the outcome ``routing.on_transfer_complete``
         names, and admit the copy it gives the receiver, if any."""
         nodes, ledger, queues, ready = self.nodes, self.ledger, self.queues, self.ready
-        append = self.events.append
+        record = self.events.fields.extend
         router = self.cfg.router
         on_complete = routing.on_transfer_complete
         for _, slot, msg, receiver_id, _, _ in completed:
@@ -491,7 +530,7 @@ class Simulation:
             sender.buffer.pinned.discard(msg_id)
             kind, hops, copy, sender_deleted = on_complete(router, sender,
                                                            receiver, msg)
-            append((now, kind, msg_id, sender_id, receiver_id, hops, NO_REASON))
+            record((now, kind, msg_id, sender_id, receiver_id, hops, NO_REASON))
             if sender_deleted:
                 ledger[msg_id][2] += 1
             if copy is not None:
@@ -551,9 +590,9 @@ def record_contacts(cfg: ScenarioConfig, seed: int) -> ContactTrace:
 
 
 def run(cfg: ScenarioConfig, seed: int, contacts: ContactTrace | None = None,
-        ) -> tuple[list[Event], MetricsSummary]:
+        ) -> tuple[EventLog, MetricsSummary]:
     """Validate, simulate and reduce one scenario run, live or replaying
-    ``contacts``.
+    ``contacts``: the run's ``EventLog`` and its summary.
 
     Bit-identical (EventLog, MetricsSummary) for identical (cfg, seed),
     live or replayed.

@@ -135,8 +135,9 @@ class ContactDetector:
         # pair of classes shares one tuple of (range, range ** 2, step,
         # interface) per shared interface, step bounding the pair distance's
         # move per tick.  entry: [a, b, range, range ** 2, step, interface,
-        # inside], inside mirroring active; the key (a, b, interface) is
-        # built only when the entry goes up or down
+        # key]: key is the contact key (a, b, interface) while the pair is
+        # in range, built when the entry goes up and reused when it goes
+        # down, and False otherwise
         classes: dict[tuple, int] = {}
         node_class = [classes.setdefault(c, len(classes))
                       for c in zip(node_interfaces, node_speeds)]
@@ -178,23 +179,21 @@ class ContactDetector:
         up = []
         down = []
         for entry in due:
-            i, j, r, r2, step, name, inside = entry
+            i, j, r, r2, step, name, key = entry
             xi, yi = positions[i]
             xj, yj = positions[j]
             dx = xi - xj
             dy = yi - yj
             d2 = dx * dx + dy * dy
             if d2 <= r2:
-                if not inside:
-                    entry[6] = True
-                    key = (i, j, name)
+                if not key:
+                    key = entry[6] = (i, j, name)
                     active.add(key)
                     up.append(key)
                 gap = r - sqrt(d2)
             else:
-                if inside:
+                if key:
                     entry[6] = False
-                    key = (i, j, name)
                     active.remove(key)
                     down.append(key)
                 gap = sqrt(d2) - r

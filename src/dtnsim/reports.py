@@ -98,7 +98,9 @@ class MetricsSummary:
 
 
 def compute_metrics(log) -> MetricsSummary:
-    """Single pass over an event log; see module docstring for conventions."""
+    """Single pass over any iterable of ``(time, kind, msg_id, a, b, hops,
+    reason)`` events, such as a run's ``engine.EventLog`` or a list of
+    tuples; see module docstring for conventions."""
     s = MetricsSummary()
     created_at: dict[str, float] = {}
     latency_sum = 0.0

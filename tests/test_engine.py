@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -440,6 +441,65 @@ def test_created_message_rejected_at_full_source_logs_drop():
         (2.0, "DELIVERED", "M1", 0, 1, 1, "-"),
     ]
     assert "M2" not in sim.holders
+
+
+# --- the event log -----------------------------------------------------------------
+
+class LoggedFields(list):
+    """An event log's field list that also keeps each event as it is added."""
+
+    def __init__(self):
+        super().__init__()
+        self.logged = []
+
+    def extend(self, fields):
+        self.logged.append(tuple(fields))
+        super().extend(fields)
+
+
+def test_event_log_reads_back_the_events_it_logged():
+    # contacts up and down, creations, relays, a delivery and an overflow
+    # drop: every engine path that logs an event
+    cfg = dataclasses.replace(script_config(nodes=4, duration=5.0),
+                              buffer_bytes=500_000)
+    sim = ScriptedSimulation(cfg, 1, contacts=[(0, 2, "instant", 0.0, 1.0),
+                                               (2, 3, "instant", 0.0, 1.0),
+                                               (1, 3, "instant", 1.0, 2.0),
+                                               (0, 1, "instant", 3.0, 4.0)],
+                             creations=[(0.0, 2, 0, 300_000),
+                                        (2.0, 0, 3, 300_000)])
+    fields = sim.events.fields = LoggedFields()
+    events, _ = sim.run()
+    logged = fields.logged
+    assert events is sim.events
+    assert {event[1] for event in logged} == {
+        "CONTACT_UP", "CONTACT_DOWN", "CREATED", "RELAYED", "DELIVERED", "DROPPED"}
+    assert len(events) == len(logged)
+    assert list(events) == logged
+    assert events == logged and logged == events
+    same = engine.EventLog()
+    same.fields.extend(field for event in logged for field in event)
+    assert events == same
+    assert events != logged[:-1] and events != logged[:-1] + logged[:1]
+    events.clear()
+    assert len(events) == 0 and events == [] and list(events) == []
+
+
+def test_event_log_holds_under_70_bytes_per_event():
+    # seven list slots take 56 B, and a list over-allocates by at most an
+    # eighth; a list of event tuples holds about 104 B per event here
+    sim = Simulation(desk_config("epidemic", sim_duration=2400), 1)
+    tracemalloc.start()
+    try:
+        events, _ = sim.run()
+        count = len(events)
+        held = tracemalloc.get_traced_memory()[0]
+        events.clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count > 10_000
+    assert held / count < 70
 
 
 def test_created_count_bounds_one_hour(tiny_config):

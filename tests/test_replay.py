@@ -67,6 +67,20 @@ def test_trace_holds_only_changing_ticks_in_detector_order(traces):
             assert list(ups) == sorted(ups) and list(downs) == sorted(downs)
 
 
+def test_trace_reuses_each_contact_key_from_up_to_down(traces):
+    # a trace holds one key object per contact, not one per change
+    up: dict[tuple, tuple] = {}
+    checked = 0
+    changes = traces[("desk", 1)].changes
+    for tick in sorted(changes):
+        ups, downs = changes[tick]
+        for key in downs:
+            assert up.pop(key) is key
+            checked += 1
+        up.update((key, key) for key in ups)
+    assert checked > 1000
+
+
 def test_replay_runs_no_mobility_or_detection(monkeypatch):
     cfg = desk_config("spray-and-wait", sim_duration=300)
     trace = engine.record_contacts(cfg, 1)
