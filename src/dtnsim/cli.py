@@ -1,10 +1,10 @@
 """Command-line entry point: validate, run, sweep and plot.
 
 Exit codes: 0 success, 1 domain error (a scenario or CSV that does not
-parse, validation findings or a run failure), 2 usage/IO error (a bad
-flag, an unreadable input or an unusable ``--out``), 130 interrupted
-(Ctrl-C).  ``main`` alone turns a failure into its exit code and stderr
-lines; the commands only raise.
+parse, validation findings, a run failure or a run out of memory), 2
+usage/IO error (a bad flag, an unreadable input or an unusable
+``--out``), 130 interrupted (Ctrl-C).  ``main`` alone turns a failure
+into its exit code and stderr lines; the commands only raise.
 ``DTNSIM_THREADS`` caps sweep parallelism (unset or 0: number of
 processors); runs are independent, so parallel execution cannot change
 results, and outputs are written in sorted order regardless.
@@ -277,6 +277,7 @@ def main(argv=None) -> int:
     and its stderr lines.  Anything else raised is a bug and keeps its
     traceback."""
     args = build_parser().parse_args(argv)
+    stopped = None
     try:
         args.func(args)
         return EXIT_OK
@@ -287,10 +288,15 @@ def main(argv=None) -> int:
     except (scenario.ScenarioError, engine.SimulationError, reports.CsvError) as exc:
         code, lines = EXIT_DOMAIN, [f"error: {exc}"]
     except KeyboardInterrupt:
+        code, stopped = EXIT_INTERRUPTED, "interrupted"
+    except MemoryError:
+        code, stopped = EXIT_DOMAIN, "error: out of memory"
+    if stopped is not None:
+        # made only here, where a failed run's memory has gone with its
+        # exception's frames
         out = getattr(args, "out", None)
-        code, lines = EXIT_INTERRUPTED, [
-            f"interrupted: --out {out} is left incomplete"
-            if out and os.path.isdir(out) else "interrupted"]
+        lines = [f"{stopped}: --out {out} is left incomplete"
+                 if out and os.path.isdir(out) else stopped]
     for line in lines:
         print(line, file=sys.stderr)
     return code

@@ -59,9 +59,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
+from array import array
+from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from operator import eq
 from typing import NamedTuple
 
@@ -87,37 +91,95 @@ class SimulationError(Exception):
     pass
 
 
+class _Codes(dict):
+    """A code for each key looked up, handed out in order of first lookup,
+    so ``list(codes)[code]`` is that key again."""
+
+    def __missing__(self, key) -> int:
+        self[key] = code = len(self)
+        return code
+
+
 class EventLog:
     """A run's events in order, each read back as an ``Event`` tuple.
 
-    ``fields`` holds the seven fields of every event one after another, so
-    an event costs seven list slots and no object of its own, and no event
-    adds an object that the cyclic garbage collector tracks.
     Writers add an event with ``fields.extend((time, kind, msg_id, a, b,
-    hops, reason))``; the tuple is freed at once.
+    hops, reason))``, so the newest events, the tail, take seven list
+    slots each in ``fields``.  ``pack`` moves the tail into typed columns
+    and empties ``fields`` in place; writers hold that list, so it is
+    never replaced.  ``Simulation.tick`` packs at the end of a tick once
+    the tail holds ``CHUNK`` events, and ``Simulation.run`` packs once
+    more after the last tick.  The columns:
+
+    - ``times`` (``array('d')``) and ``counts`` (``array('i')``): one entry
+      per run of consecutive events that share a time.  Every event of a
+      tick carries the tick's time and times never decrease, so a run is
+      a tick's events;
+    - ``kinds``: a ``bytearray`` of the codes ``codes`` hands out, one per
+      kind; the engine logs a handful of kinds, so a code fits a byte;
+    - ``msg_ids``, ``reasons``: lists of the logged strings themselves.  A
+      run has up to 10^6 message ids and a reason may name any interface,
+      so their codes would need a wider array, which costs ``pack`` more
+      time than a byte does;
+    - ``a``, ``b``: ``array('h')`` of node ids (``validate`` caps a run at
+      1,000 nodes, and ``NO_NODE`` is -1); ``hops``: ``array('i')``.
+
+    A packed event takes 25 B and no object of its own, against 56 B in
+    the tail.  Reading back yields the packed events, then the tail.
     """
 
-    __slots__ = ("fields",)
+    CHUNK = 16_384
+
+    __slots__ = ("fields", "times", "counts", "codes", "kinds", "msg_ids",
+                 "a", "b", "hops", "reasons")
 
     def __init__(self):
         self.fields: list = []
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self.fields) // 7
+        return len(self.hops) + len(self.fields) // 7
 
     def __iter__(self) -> Iterator[Event]:
+        packed = zip(chain.from_iterable(map(repeat, self.times, self.counts)),
+                     map(list(self.codes).__getitem__, self.kinds),
+                     self.msg_ids, self.a, self.b, self.hops, self.reasons)
         fields = iter(self.fields)
-        return zip(fields, fields, fields, fields, fields, fields, fields)
+        return chain(packed, zip(fields, fields, fields, fields, fields,
+                                 fields, fields))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, EventLog):
-            return self.fields == other.fields
-        if isinstance(other, list):
+        if isinstance(other, (EventLog, list)):
             return len(other) == len(self) and all(map(eq, self, other))
         return NotImplemented
 
+    def pack(self) -> None:
+        """Move the tail's events into the columns and empty the tail."""
+        fields = self.fields
+        times = fields[0::7]
+        start, size = 0, len(times)
+        while start < size:
+            time = times[start]
+            end = bisect_right(times, time, start)
+            self.times.append(time)
+            self.counts.append(end - start)
+            start = end
+        self.kinds += bytes(map(self.codes.__getitem__, fields[1::7]))
+        self.msg_ids += fields[2::7]
+        # struct converts the ints in about half the time array.fromlist takes
+        self.a.frombytes(struct.pack(f"{size}h", *fields[3::7]))
+        self.b.frombytes(struct.pack(f"{size}h", *fields[4::7]))
+        self.hops.frombytes(struct.pack(f"{size}i", *fields[5::7]))
+        self.reasons += fields[6::7]
+        fields.clear()
+
     def clear(self) -> None:
         self.fields.clear()
+        self.times, self.counts = array("d"), array("i")
+        self.codes = _Codes()
+        self.kinds = bytearray()
+        self.msg_ids, self.reasons = [], []
+        self.a, self.b, self.hops = array("h"), array("h"), array("i")
 
 
 def rng_stream(seed: int, label: str) -> random.Random:
@@ -286,6 +348,7 @@ class Simulation:
         further tick."""
         for _ in range(self.tick_index, tick_count(self.cfg)):
             self.tick()
+        self.events.pack()
         summary = compute_metrics(self.events)
         self._audit()
         return self.events, summary
@@ -300,6 +363,8 @@ class Simulation:
             self._contact_offers(key)
         self._run_transfers(now)
         self.tick_index += 1
+        if len(self.events.fields) >= 7 * EventLog.CHUNK:
+            self.events.pack()
 
     # --- phase 1: expiry -----------------------------------------------------
 

@@ -60,7 +60,7 @@ def allowed_offers(router: RouterConfig, copies, records, live=None):
     if live is not None:
         (copy,) = copies
         msg = copy.msg
-        msg_id = msg.id
+        msg_id, dst = msg.id, msg.dst
         wait = spray and copy.copies < 2
         passed = 0
         # the refusal test is the one the offer loop below states; a loop
@@ -68,8 +68,8 @@ def allowed_offers(router: RouterConfig, copies, records, live=None):
         for index, (key, peer, held, delivered) in enumerate(records):
             if key not in live:
                 passed += 1
-            elif not (msg_id in held or msg_id in delivered
-                      or (wait and peer.id != msg.dst)):
+            elif not ((wait and peer.id != dst) or msg_id in held
+                      or msg_id in delivered):
                 return index, passed
         return len(records), passed
     groups = []
@@ -80,8 +80,10 @@ def allowed_offers(router: RouterConfig, copies, records, live=None):
         others = None   # made on the first rank-1 record: most copies have none
         for record in records:
             _, peer, held, delivered = record
-            if not (msg_id in held or msg_id in delivered
-                    or (wait and peer.id != dst)):
+            # the wait-phase test first: it needs no set lookup, and it
+            # refuses every record but the destination's of a waiting copy
+            if not ((wait and peer.id != dst) or msg_id in held
+                    or msg_id in delivered):
                 if peer.id == dst:
                     groups.append((0, copy, [record]))
                 elif others is None:

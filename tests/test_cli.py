@@ -1,5 +1,6 @@
 import hashlib
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -676,6 +677,29 @@ def test_interrupted_run_exits_130_with_one_line(tmp_path):
     assert code == cli.EXIT_INTERRUPTED == 130
     assert err.splitlines() == [f"interrupted: --out {out} is left incomplete"]
     assert "Traceback" not in err
+
+
+def test_run_out_of_memory_exits_1_with_one_line(tmp_path):
+    # 60,000 kB of address space holds the interpreter, the imports and the
+    # stadium set-up (about 29,000 kB), but not an hour of epidemic with its
+    # event log (a VmPeak of about 100,000 kB), so the run itself fails
+    cfg = tmp_path / "stadium.cfg"
+    cfg.write_text(edited(STADIUM_CFG.read_text(),
+                          ("sim_duration = 12h", "sim_duration = 1h")))
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cap = 60_000 * 1024
+    child = subprocess.run(
+        [sys.executable, "-m", "dtnsim.cli", "run", str(cfg), "--seed", "1",
+         "--events", "--out", str(out)], text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert child.returncode == cli.EXIT_DOMAIN == 1
+    assert child.stderr.splitlines() == [
+        f"error: out of memory: --out {out} is left incomplete"]
+    assert "Traceback" not in child.stderr
 
 
 def test_interrupted_parallel_sweep_prints_no_worker_traceback(tmp_path):

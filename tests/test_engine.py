@@ -446,15 +446,21 @@ def test_created_message_rejected_at_full_source_logs_drop():
 # --- the event log -----------------------------------------------------------------
 
 class LoggedFields(list):
-    """An event log's field list that also keeps each event as it is added."""
+    """An event log's field list that also keeps each event as it is added,
+    and counts the times it is emptied."""
 
     def __init__(self):
         super().__init__()
         self.logged = []
+        self.cleared = 0
 
     def extend(self, fields):
         self.logged.append(tuple(fields))
         super().extend(fields)
+
+    def clear(self):
+        self.cleared += 1
+        super().clear()
 
 
 def test_event_log_reads_back_the_events_it_logged():
@@ -485,10 +491,50 @@ def test_event_log_reads_back_the_events_it_logged():
     assert len(events) == 0 and events == [] and list(events) == []
 
 
-def test_event_log_holds_under_70_bytes_per_event():
-    # seven list slots take 56 B, and a list over-allocates by at most an
-    # eighth; a list of event tuples holds about 104 B per event here
-    sim = Simulation(desk_config("epidemic", sim_duration=2400), 1)
+def test_event_log_reads_back_across_pack_boundaries(monkeypatch):
+    # with 40-event chunks a desk epidemic run packs at the end of most of
+    # its busy ticks; it stops with packed events and a tail
+    monkeypatch.setattr(engine.EventLog, "CHUNK", 40)
+    cfg = desk_config("epidemic", sim_duration=1800)
+    sim = Simulation(cfg, 1)
+    fields = sim.events.fields = LoggedFields()
+    for _ in range(scenario.tick_count(cfg)):
+        sim.tick()
+        if fields.cleared >= 3 and fields:
+            break
+    events, logged = sim.events, fields.logged
+    assert fields.cleared >= 3 and 0 < len(fields) < 7 * 40
+    unpacked = engine.EventLog()
+    unpacked.fields.extend(field for event in logged for field in event)
+    monkeypatch.setattr(engine.EventLog, "CHUNK", 10**9)
+    replayed = Simulation(cfg, 1)
+    for _ in range(sim.tick_index):
+        replayed.tick()
+    assert len(replayed.events.fields) == 7 * len(logged)
+    assert len(events) == len(logged)
+    for event, one, other in zip(events, logged, replayed.events, strict=True):
+        assert event == one == other
+    assert events == logged and logged == events
+    assert events == unpacked and unpacked == events
+    assert events == replayed.events and replayed.events == events
+    changed = logged[:-1] + [logged[-1][:5] + (logged[-1][5] + 1,) + logged[-1][6:]]
+    assert events != logged[:-1] and events != changed
+    unpacked.pack()
+    assert not unpacked.fields and unpacked == events and events == unpacked
+    # the last pack of a run takes the tail whatever its length
+    sim.run()
+    assert sim.events is events and events.fields is fields and not fields
+    assert list(events) == fields.logged
+    events.clear()
+    assert events.fields is fields
+    assert len(events) == 0 and events == [] and list(events) == []
+
+
+def test_event_log_holds_at_most_32_bytes_per_event():
+    # a packed event takes 25 B (see EventLog), an unpacked one seven list
+    # slots, 56 B, and an event tuple in a list about 104 B; 2 h of desk
+    # epidemic logs more than 8 chunks
+    sim = Simulation(desk_config("epidemic", sim_duration=7200), 1)
     tracemalloc.start()
     try:
         events, _ = sim.run()
@@ -498,8 +544,8 @@ def test_event_log_holds_under_70_bytes_per_event():
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert count > 10_000
-    assert held / count < 70
+    assert held / count <= 32
+    assert count > 8 * engine.EventLog.CHUNK
 
 
 def test_created_count_bounds_one_hour(tiny_config):
