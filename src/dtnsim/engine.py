@@ -58,14 +58,12 @@ trace replays exactly in every run of the same scenario and seed.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
-import struct
-from array import array
-from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from heapq import heappop, heappush
-from itertools import chain, repeat
+from itertools import chain
 from operator import eq
 from typing import NamedTuple
 
@@ -91,13 +89,10 @@ class SimulationError(Exception):
     pass
 
 
-class _Codes(dict):
-    """A code for each key looked up, handed out in order of first lookup,
-    so ``list(codes)[code]`` is that key again."""
-
-    def __missing__(self, key) -> int:
-        self[key] = code = len(self)
-        return code
+def _events(fields: list) -> Iterator[Event]:
+    """The events of a flat list of fields, seven fields to a tuple."""
+    fields = iter(fields)
+    return zip(fields, fields, fields, fields, fields, fields, fields)
 
 
 class EventLog:
@@ -105,48 +100,36 @@ class EventLog:
 
     Writers add an event with ``fields.extend((time, kind, msg_id, a, b,
     hops, reason))``, so the newest events, the tail, take seven list
-    slots each in ``fields``.  ``pack`` moves the tail into typed columns
-    and empties ``fields`` in place; writers hold that list, so it is
-    never replaced.  ``Simulation.tick`` packs at the end of a tick once
-    the tail holds ``CHUNK`` events, and ``Simulation.run`` packs once
-    more after the last tick.  The columns:
+    slots each in ``fields``.  ``pack`` pickles the tail as one chunk,
+    appends it to ``chunks``, counts its events in ``packed`` and empties
+    ``fields`` in place; writers hold that list, so it is never replaced.
+    ``Simulation.tick`` packs at the end of a tick once the tail holds
+    ``CHUNK`` events, and ``Simulation.run`` packs once more after the
+    last tick.
 
-    - ``times`` (``array('d')``) and ``counts`` (``array('i')``): one entry
-      per run of consecutive events that share a time.  Every event of a
-      tick carries the tick's time and times never decrease, so a run is
-      a tick's events;
-    - ``kinds``: a ``bytearray`` of the codes ``codes`` hands out, one per
-      kind; the engine logs a handful of kinds, so a code fits a byte;
-    - ``msg_ids``, ``reasons``: lists of the logged strings themselves.  A
-      run has up to 10^6 message ids and a reason may name any interface,
-      so their codes would need a wider array, which costs ``pack`` more
-      time than a byte does;
-    - ``a``, ``b``: ``array('h')`` of node ids (``validate`` caps a run at
-      1,000 nodes, and ``NO_NODE`` is -1); ``hops``: ``array('i')``.
-
-    A packed event takes 25 B and no object of its own, against 56 B in
-    the tail.  Reading back yields the packed events, then the tail.
+    Pickle writes each time as 8 bytes, so times read back exactly, and
+    refers back to a string it has written, so a packed event takes about
+    22 B against 56 B in the tail.  Reading back unpickles one chunk at a
+    time, then reads the tail, so a reader holds at most one chunk's
+    events unpacked.  Only the chunks this log pickled are ever unpickled;
+    the log takes no bytes from outside.
     """
 
     CHUNK = 16_384
 
-    __slots__ = ("fields", "times", "counts", "codes", "kinds", "msg_ids",
-                 "a", "b", "hops", "reasons")
+    __slots__ = ("fields", "chunks", "packed")
 
     def __init__(self):
         self.fields: list = []
-        self.clear()
+        self.chunks: list[bytes] = []
+        self.packed = 0
 
     def __len__(self) -> int:
-        return len(self.hops) + len(self.fields) // 7
+        return self.packed + len(self.fields) // 7
 
     def __iter__(self) -> Iterator[Event]:
-        packed = zip(chain.from_iterable(map(repeat, self.times, self.counts)),
-                     map(list(self.codes).__getitem__, self.kinds),
-                     self.msg_ids, self.a, self.b, self.hops, self.reasons)
-        fields = iter(self.fields)
-        return chain(packed, zip(fields, fields, fields, fields, fields,
-                                 fields, fields))
+        return chain.from_iterable(map(_events, chain(
+            map(pickle.loads, self.chunks), (self.fields,))))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (EventLog, list)):
@@ -154,32 +137,16 @@ class EventLog:
         return NotImplemented
 
     def pack(self) -> None:
-        """Move the tail's events into the columns and empty the tail."""
+        """Pickle the tail's events as one chunk and empty the tail."""
         fields = self.fields
-        times = fields[0::7]
-        start, size = 0, len(times)
-        while start < size:
-            time = times[start]
-            end = bisect_right(times, time, start)
-            self.times.append(time)
-            self.counts.append(end - start)
-            start = end
-        self.kinds += bytes(map(self.codes.__getitem__, fields[1::7]))
-        self.msg_ids += fields[2::7]
-        # struct converts the ints in about half the time array.fromlist takes
-        self.a.frombytes(struct.pack(f"{size}h", *fields[3::7]))
-        self.b.frombytes(struct.pack(f"{size}h", *fields[4::7]))
-        self.hops.frombytes(struct.pack(f"{size}i", *fields[5::7]))
-        self.reasons += fields[6::7]
+        self.chunks.append(pickle.dumps(fields, 5))
+        self.packed += len(fields) // 7
         fields.clear()
 
     def clear(self) -> None:
         self.fields.clear()
-        self.times, self.counts = array("d"), array("i")
-        self.codes = _Codes()
-        self.kinds = bytearray()
-        self.msg_ids, self.reasons = [], []
-        self.a, self.b, self.hops = array("h"), array("h"), array("i")
+        self.chunks.clear()
+        self.packed = 0
 
 
 def rng_stream(seed: int, label: str) -> random.Random:

@@ -124,8 +124,8 @@ class ContactDetector:
     only on the first tick at which its range state could have changed.
 
     ``node_speeds`` are per-node speed bounds (m/s) and ``tick`` the tick
-    length (s); each ``detect`` call is one tick and updates ``active``,
-    the set of contact keys in range.
+    length (s); each ``detect`` call is one tick.  An entry holds its own
+    range state: its contact key while in range, else False.
     """
 
     def __init__(self, node_interfaces: list[tuple[str, ...]],
@@ -162,18 +162,17 @@ class ContactDetector:
         self.calendar: defaultdict[int, list] = defaultdict(list)
         self.calendar[0] = entries
         self.pairs: list = []       # entries examined by the latest call
-        self.active: set[tuple[int, int, str]] = set()
 
     def detect(self, positions: list[tuple[float, float]],
                ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int, str]]]:
-        """Compare the due entries against the contact set and update it.
+        """Examine the due entries against ``positions``.
 
         Returns (up, down): sorted keys (a, b, interface) with a < b that
         newly appeared or vanished this tick.
         """
         tick = self.tick_index
         self.tick_index = tick + 1
-        active, calendar = self.active, self.calendar
+        calendar = self.calendar
         due = self.pairs = calendar.pop(tick, [])
         next_tick = calendar[tick + 1]
         up = []
@@ -188,13 +187,11 @@ class ContactDetector:
             if d2 <= r2:
                 if not key:
                     key = entry[6] = (i, j, name)
-                    active.add(key)
                     up.append(key)
                 gap = r - sqrt(d2)
             else:
                 if key:
                     entry[6] = False
-                    active.remove(key)
                     down.append(key)
                 gap = sqrt(d2) - r
             if not step:

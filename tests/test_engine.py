@@ -462,6 +462,10 @@ class LoggedFields(list):
         self.cleared += 1
         super().clear()
 
+    def __reduce_ex__(self, protocol):
+        # a packed chunk holds the fields alone, as a plain list
+        return list, (list(self),)
+
 
 def test_event_log_reads_back_the_events_it_logged():
     # contacts up and down, creations, relays, a delivery and an overflow
@@ -493,47 +497,53 @@ def test_event_log_reads_back_the_events_it_logged():
 
 def test_event_log_reads_back_across_pack_boundaries(monkeypatch):
     # with 40-event chunks a desk epidemic run packs at the end of most of
-    # its busy ticks; it stops with packed events and a tail
-    monkeypatch.setattr(engine.EventLog, "CHUNK", 40)
-    cfg = desk_config("epidemic", sim_duration=1800)
-    sim = Simulation(cfg, 1)
-    fields = sim.events.fields = LoggedFields()
-    for _ in range(scenario.tick_count(cfg)):
-        sim.tick()
-        if fields.cleared >= 3 and fields:
-            break
-    events, logged = sim.events, fields.logged
-    assert fields.cleared >= 3 and 0 < len(fields) < 7 * 40
-    unpacked = engine.EventLog()
-    unpacked.fields.extend(field for event in logged for field in event)
-    monkeypatch.setattr(engine.EventLog, "CHUNK", 10**9)
-    replayed = Simulation(cfg, 1)
-    for _ in range(sim.tick_index):
-        replayed.tick()
-    assert len(replayed.events.fields) == 7 * len(logged)
-    assert len(events) == len(logged)
-    for event, one, other in zip(events, logged, replayed.events, strict=True):
-        assert event == one == other
-    assert events == logged and logged == events
-    assert events == unpacked and unpacked == events
-    assert events == replayed.events and replayed.events == events
-    changed = logged[:-1] + [logged[-1][:5] + (logged[-1][5] + 1,) + logged[-1][6:]]
-    assert events != logged[:-1] and events != changed
-    unpacked.pack()
-    assert not unpacked.fields and unpacked == events and events == unpacked
-    # the last pack of a run takes the tail whatever its length
-    sim.run()
-    assert sim.events is events and events.fields is fields and not fields
-    assert list(events) == fields.logged
-    events.clear()
-    assert events.fields is fields
-    assert len(events) == 0 and events == [] and list(events) == []
+    # its busy ticks; it stops with packed events and a tail.  At a 0.3 s
+    # tick most times, such as 0.30000000000000004, have no short decimal
+    # form, and a packed time must still read back exactly
+    for tick in (1.0, 0.3):
+        monkeypatch.setattr(engine.EventLog, "CHUNK", 40)
+        cfg = dataclasses.replace(desk_config("epidemic", sim_duration=1800),
+                                  tick=tick)
+        sim = Simulation(cfg, 1)
+        fields = sim.events.fields = LoggedFields()
+        for _ in range(scenario.tick_count(cfg)):
+            sim.tick()
+            if fields.cleared >= 3 and fields:
+                break
+        events, logged = sim.events, fields.logged
+        assert fields.cleared >= 3 and 0 < len(fields) < 7 * 40
+        if tick == 0.3:
+            assert any(float(f"{event[0]:.15g}") != event[0] for event in logged)
+        unpacked = engine.EventLog()
+        unpacked.fields.extend(field for event in logged for field in event)
+        monkeypatch.setattr(engine.EventLog, "CHUNK", 10**9)
+        replayed = Simulation(cfg, 1)
+        for _ in range(sim.tick_index):
+            replayed.tick()
+        assert len(replayed.events.fields) == 7 * len(logged)
+        assert len(events) == len(logged)
+        for event, one, other in zip(events, logged, replayed.events, strict=True):
+            assert event == one == other
+        assert events == logged and logged == events
+        assert events == unpacked and unpacked == events
+        assert events == replayed.events and replayed.events == events
+        changed = logged[:-1] + [logged[-1][:5] + (logged[-1][5] + 1,) + logged[-1][6:]]
+        assert events != logged[:-1] and events != changed
+        unpacked.pack()
+        assert not unpacked.fields and unpacked == events and events == unpacked
+        # the last pack of a run takes the tail whatever its length
+        sim.run()
+        assert sim.events is events and events.fields is fields and not fields
+        assert list(events) == fields.logged
+        events.clear()
+        assert events.fields is fields
+        assert len(events) == 0 and events == [] and list(events) == []
 
 
-def test_event_log_holds_at_most_32_bytes_per_event():
-    # a packed event takes 25 B (see EventLog), an unpacked one seven list
-    # slots, 56 B, and an event tuple in a list about 104 B; 2 h of desk
-    # epidemic logs more than 8 chunks
+def test_event_log_holds_at_most_24_bytes_per_event():
+    # a packed event takes about 22 B (see EventLog), an unpacked one seven
+    # list slots, 56 B, and an event tuple in a list about 104 B; 2 h of
+    # desk epidemic logs more than 8 chunks
     sim = Simulation(desk_config("epidemic", sim_duration=7200), 1)
     tracemalloc.start()
     try:
@@ -544,7 +554,7 @@ def test_event_log_holds_at_most_32_bytes_per_event():
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / count <= 32
+    assert held / count <= 24
     assert count > 8 * engine.EventLog.CHUNK
 
 

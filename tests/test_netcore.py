@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -204,14 +205,16 @@ def test_stationary_pair_is_examined_once():
     events = []
     for t in range(200):
         x = -100.0 + t
-        up, down = det.detect([(0.0, 0.0), (10.0, 0.0), (x, 5.0)])
+        positions = [(0.0, 0.0), (10.0, 0.0), (x, 5.0)]
+        up, down = det.detect(positions)
         for key in down:
             active.remove(key)
             events.append((x, "down", key[:2]))
         for key in up:
             active.add(key)
             events.append((x, "up", key[:2]))
-        assert det.active == active
+        assert active == {(a, b, "bluetooth") for a, b in examined
+                          if math.dist(positions[a], positions[b]) <= 15.0}
         for entry in det.pairs:
             examined[entry[0], entry[1]] += 1
     assert events == [(-100.0, "up", (0, 1)),
