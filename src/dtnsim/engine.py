@@ -143,11 +143,6 @@ class EventLog:
         self.packed += len(fields) // 7
         fields.clear()
 
-    def clear(self) -> None:
-        self.fields.clear()
-        self.chunks.clear()
-        self.packed = 0
-
 
 def rng_stream(seed: int, label: str) -> random.Random:
     """Independent deterministic generator for (seed, label)."""

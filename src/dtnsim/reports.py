@@ -38,10 +38,16 @@ REASON_CONTACT_DOWN = "contact-down"
 
 
 def _metric(text: str) -> float:
-    """A finite metric value or nan; an infinity would break chart scales."""
+    """A metric value: nan, 0, or from 1e-322 to 1e307.
+
+    Charts scale to medians of such values, each 0 or from 5e-323 to 1e307.
+    A log scale needs ``10 ** floor(log10(m))`` above 0 and ``10 **
+    ceil(log10(m))`` finite, so m from about 1.5e-323 to 1e308; a linear
+    scale's top grid line, ``hi * 5 / 5`` with ``hi`` 1.05 times the
+    largest median, is finite for a median up to about 3.4e307."""
     value = float(text)
-    if math.isinf(value):
-        raise ValueError("infinite")
+    if not (value == 0 or 1e-322 <= value <= 1e307 or math.isnan(value)):
+        raise ValueError("out of range")
     return value
 
 
@@ -237,8 +243,6 @@ def render_bar_chart(metric: str, rows: list[dict], path: str) -> str:
         transform = math.log10
         lo = 10.0 ** math.floor(math.log10(min(positive)))
         hi = 10.0 ** math.ceil(math.log10(max(positive)))
-        if hi == lo:
-            hi = lo * 10.0
         grid_values = []
         g = lo
         while g <= hi * 1.0000001:

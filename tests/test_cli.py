@@ -401,6 +401,14 @@ def test_plot_missing_column_names_it(tmp_path, capsys):
     ("buffer_bytes", "5M"),
     # charts write the protocol into SVG text, unescaped
     ("protocol", "a<b &c"),
+    # beside 10, a log scale whose bottom rounds to 0 or whose top overflows
+    ("latency_avg_s", "4.94066e-324"),
+    ("latency_avg_s", "1.5e308"),
+    # the other buffer's median is nan: a linear scale whose top overflows
+    ("overhead_ratio", "1.7e308"),
+    # no metric is negative, and beside a positive value a negative one
+    # could make a median of two round below a log scale's bottom
+    ("hopcount_avg", "-1"),
 ])
 def test_plot_bad_csv_value_exits_1_with_one_line(tmp_path, capsys, column, value):
     # two buffer sizes, so that an infinite median would ask for a log scale
@@ -680,16 +688,18 @@ def test_interrupted_run_exits_130_with_one_line(tmp_path):
 
 
 def test_run_out_of_memory_exits_1_with_one_line(tmp_path):
-    # 60,000 kB of address space holds the interpreter, the imports and the
-    # stadium set-up (about 29,000 kB), but not an hour of epidemic with its
-    # event log (a VmPeak of about 100,000 kB), so the run itself fails
+    # 45,000 kB of address space holds the interpreter, the imports and the
+    # stadium set-up (a VmPeak of 28,252 kB on Python 3.11.7, x86_64 Linux,
+    # leaving about 16,700 kB for other interpreters' imports), but not an
+    # hour of epidemic with its event log (a VmPeak of about 84,000 kB), so
+    # the run itself fails, and the lower the cap the sooner it does
     cfg = tmp_path / "stadium.cfg"
     cfg.write_text(edited(STADIUM_CFG.read_text(),
                           ("sim_duration = 12h", "sim_duration = 1h")))
     out = tmp_path / "out"
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    cap = 60_000 * 1024
+    cap = 45_000 * 1024
     child = subprocess.run(
         [sys.executable, "-m", "dtnsim.cli", "run", str(cfg), "--seed", "1",
          "--events", "--out", str(out)], text=True, timeout=120,
